@@ -29,12 +29,19 @@ bench:
 # target validates it parses and enforces the measurement-fidelity floor
 # (any component fit with r^2 < 0.5 fails), the ingest identity bits,
 # the faults-off overhead ceiling (< 2% vs the hook-free loop), the
-# per-tenant socket/pipe checkpoint identity, and the socket throughput
-# overhead ceiling (< 30% vs the pipe on the quiet path)
+# per-tenant socket/pipe checkpoint identity, the socket throughput
+# overhead ceiling (< 30% vs the pipe on the quiet path), and the smin-mw
+# indicator step: >= 10x faster than the dense step at k=256 and O(log k)
+# in practice (k=4096 at most 2x the k=64 step)
 bench-json: bench
 	@python3 -c "import json, sys; \
 d = json.load(open('BENCH_7.json')); \
 bad = [c for c in d['components'] if c['r2'] is None or c['r2'] < 0.5]; \
+ns = {c['name']: c['ns_per_run'] for c in d['components']}; \
+ind = {k: ns['mts: smin-mw indicator step k=%d' % k] for k in (64, 256, 1024, 4096)}; \
+dense_x = ns['mts: smin-mw step k=256'] / ind[256]; \
+sys.exit('smin-mw indicator step only %.1fx faster than the dense step at k=256 (gate: 10x)' % dense_x) if dense_x < 10 else None; \
+sys.exit('smin-mw indicator step at k=4096 is %.2fx the k=64 step (gate: 2x)' % (ind[4096] / ind[64])) if ind[4096] > 2 * ind[64] else None; \
 ing = d['ingest']; \
 flt = d['faults']; \
 net = d['net']; \
@@ -44,7 +51,7 @@ sys.exit('faults-off overhead %.2f%% above the 2%% ceiling' % (100 * flt['overhe
 sys.exit('socket-served checkpoints diverged from pipe runs') if not all(p['identical'] for p in net) else None; \
 sys.exit('socket overhead above the 30%% ceiling: ' + ', '.join('%d tenants %.1f%%' % (p['tenants'], 100 * p['overhead_frac']) for p in net if p['overhead_frac'] >= 0.30)) if any(p['overhead_frac'] >= 0.30 for p in net) else None; \
 sys.exit('components below the r^2 floor: ' + ', '.join(c['name'] for c in bad)) if bad else \
-print('BENCH_7.json: valid JSON, all %d component fits have r^2 >= 0.5, ingest identical (decode %.1fx), faults-off overhead %.2f%%, socket overhead %s' % (len(d['components']), ing['decode_speedup'], 100 * flt['overhead_frac'], ', '.join('%.1f%% @ %d tenants' % (100 * p['overhead_frac'], p['tenants']) for p in net)))"
+print('BENCH_7.json: valid JSON, all %d component fits have r^2 >= 0.5, smin-mw indicator step %.0fx the dense one at k=256 (k=4096/k=64: %.2fx), ingest identical (decode %.1fx), faults-off overhead %.2f%%, socket overhead %s' % (len(d['components']), dense_x, ind[4096] / ind[64], ing['decode_speedup'], 100 * flt['overhead_frac'], ', '.join('%.1f%% @ %d tenants' % (100 * p['overhead_frac'], p['tenants']) for p in net)))"
 
 experiments:
 	dune exec bin/rbgp_cli.exe -- exp all | tee experiments_full.txt

@@ -172,6 +172,18 @@ let mts_step solver =
     ignore
       (Rbgp_mts.Mts.serve solver (Rbgp_mts.Mts.indicator (!i * 31 mod k) ~n:k))
 
+(* the O(log k) indicator step the ring reduction actually drives, swept
+   over k; the same request pattern as [mts_step] *)
+let smin_indicator_step k =
+  let solver =
+    Rbgp_mts.Smin_mw.solver (Rbgp_mts.Metric.Line k) ~start:(k / 2)
+      ~rng:(Rbgp_util.Rng.create k)
+  in
+  let i = ref 0 in
+  fun () ->
+    incr i;
+    ignore (Rbgp_mts.Mts.serve_indicator solver (!i * 31 mod k))
+
 let offline_reqs = Array.init 512 (fun i -> (i * 131) mod k)
 let inst = Rbgp_ring.Instance.blocks ~n:512 ~ell:8
 let trace512 = Array.init 4096 (fun i -> (i * 73) mod 512)
@@ -211,6 +223,10 @@ let components_spec : (string * (unit -> unit)) list =
              ~new_dist:dist_b) );
     ("mts: wfa step k=256", mts_step wfa_solver);
     ("mts: smin-mw step k=256", mts_step smin_solver);
+    ("mts: smin-mw indicator step k=64", smin_indicator_step 64);
+    ("mts: smin-mw indicator step k=256", smin_indicator_step 256);
+    ("mts: smin-mw indicator step k=1024", smin_indicator_step 1024);
+    ("mts: smin-mw indicator step k=4096", smin_indicator_step 4096);
     ("mts: hst-mw step k=256", mts_step hst_solver);
     ( "mts: offline DP 512 reqs k=256",
       fun () ->

@@ -22,7 +22,6 @@ type t = {
   cut_locals : int array;  (* the same cuts in interval-local coordinates *)
   bases : int array;  (* first global edge of each interval *)
   route_of_edge : int array;  (* global edge -> (interval lsl route_bits) lor local *)
-  indicators : float array array;  (* reusable cost vector per interval *)
   assignment : Assignment.t;
   scratch_servers : int array;
   (* batch scratch, grown on demand; see [serve_batch] *)
@@ -107,8 +106,6 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
       cut_locals;
       bases;
       route_of_edge;
-      indicators =
-        Array.init ell' (fun i -> Array.make (Intervals.width dec i) 0.0);
       assignment = Assignment.create inst;
       scratch_servers = Array.make n 0;
       batch_order = [||];
@@ -122,16 +119,9 @@ let create ?shift ?(mts = Rbgp_mts.Smin_mw.solver) ~epsilon (inst : Instance.t)
   apply_cuts t;
   t
 
-(* Feed one request to interval i's solver through its reusable indicator
-   vector (Mts.serve only reads the vector, so setting and clearing one
-   entry leaves it all-zero for the next request — no per-request
-   allocation). *)
-let serve_local t i local =
-  let vec = t.indicators.(i) in
-  vec.(local) <- 1.0;
-  let new_local = Mts.serve t.solvers.(i) vec in
-  vec.(local) <- 0.0;
-  new_local
+(* Feed one request to interval i's solver: an indicator cost at the
+   interval-local edge, served without building the vector. *)
+let serve_local t i local = Mts.serve_indicator t.solvers.(i) local
 
 (* Move interval i's cut to [new_local], updating the assignment
    incrementally: server i owns the vertex slice (cuts.(i), cuts.(i+1)]
@@ -227,8 +217,8 @@ let serve_batch t edges =
         locals.(j) <- serve_local t i (t.route_of_edge.(edges.(j)) land route_mask)
       done
     in
-    (* each worker touches only its claimed intervals' solvers, indicator
-       vectors and [locals] slots; the pool's join publishes all writes
+    (* each worker touches only its claimed intervals' solvers and
+       [locals] slots; the pool's join publishes all writes
        before the merge reads them.  The family estimate keeps small
        batches sequential automatically. *)
     ignore (Pool.map ~family:"dynalg.shard" run work);

@@ -65,7 +65,7 @@ let solver : Mts.factory =
     current_dist := new_dist;
     state
   in
-  Mts.make ~name:"hst-mw" ~metric ~start ~next
+  Mts.make ~name:"hst-mw" ~metric ~start ~next ()
 
 let leaf_distribution metric x =
   if Array.length x <> Metric.size metric then

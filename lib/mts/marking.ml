@@ -27,4 +27,4 @@ let solver : Mts.factory =
           arr.(Rbgp_util.Rng.int rng (Array.length arr))
     end
   in
-  Mts.make ~name:"marking" ~metric ~start ~next
+  Mts.make ~name:"marking" ~metric ~start ~next ()

@@ -17,15 +17,21 @@ type factory = Metric.t -> start:int -> rng:Rbgp_util.Rng.t -> t
     rng. *)
 
 val make :
+  ?next_indicator:(int -> int -> int) ->
   name:string ->
   metric:Metric.t ->
   start:int ->
   next:(float array -> int -> int) ->
+  unit ->
   t
-(** [make ~name ~metric ~start ~next] wraps a transition function
+(** [make ~name ~metric ~start ~next ()] wraps a transition function
     [next cost_vector current_state -> new_state] with state tracking and
-    cost accounting.  Used by the solver modules; exposed for tests that
-    need scripted solvers. *)
+    cost accounting.  [next_indicator e current_state -> new_state] is the
+    transition on the unit cost vector at [e] (see {!serve_indicator});
+    when omitted, it sets entry [e] of one reused all-zero scratch vector,
+    calls [next] and clears the entry again, so the solver behaves exactly
+    as under [serve (indicator e ~n)].  Used by the solver modules; exposed
+    for tests that need scripted solvers. *)
 
 val name : t -> string
 val metric : t -> Metric.t
@@ -34,7 +40,15 @@ val state : t -> int
 val serve : t -> float array -> int
 (** Feed one cost vector (length = number of states, entries >= 0); returns
     the new state.  Accumulates [hit] ([T(s')]) and [move] ([d(s, s')])
-    costs. *)
+    costs.  The general path: the ring reduction only emits unit vectors
+    and serves them through {!serve_indicator}. *)
+
+val serve_indicator : t -> int -> int
+(** [serve_indicator t e] is [serve t (indicator e ~n)] without building
+    the vector: the same transition, the same random draws and the same
+    [hit]/[move] accounting, through the solver's indicator step ({!Smin_mw}
+    takes O(log n) here).  Raises [Invalid_argument
+    "Mts.serve_indicator: index out of range"] unless [0 <= e < n]. *)
 
 val hit_cost : t -> float
 val move_cost : t -> float
@@ -45,4 +59,5 @@ val steps : t -> int
 
 val indicator : int -> n:int -> float array
 (** [indicator e ~n]: the unit cost vector charging 1 at state [e] — the
-    only vector shape the ring reduction generates. *)
+    only vector shape the ring reduction generates.  Serving paths use
+    {!serve_indicator} instead, which never materialises it. *)

@@ -64,7 +64,7 @@ let solver_introspect metric ~start =
     done;
     !best
   in
-  let t = Mts.make ~name:"wfa" ~metric ~start ~next in
+  let t = Mts.make ~name:"wfa" ~metric ~start ~next () in
   (t, fun () -> Array.copy !w)
 
 let solver : Mts.factory =

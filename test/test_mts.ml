@@ -34,7 +34,7 @@ let test_mts_accounting () =
     Mts.make ~name:"follow" ~metric ~start:0 ~next:(fun cost _ ->
         let best = ref 0 in
         Array.iteri (fun i c -> if c > cost.(!best) then best := i) cost;
-        !best)
+        !best) ()
   in
   ignore (Mts.serve t (Mts.indicator 3 ~n:4));
   (* moved 0 -> 3 (distance 3) and pays the task at the new state (1) *)
@@ -46,7 +46,7 @@ let test_mts_accounting () =
 
 let test_mts_validation () =
   let metric = Metric.Line 3 in
-  let t = Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) in
+  let t = Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) () in
   Alcotest.check_raises "bad size"
     (Invalid_argument "Mts.serve: cost vector size mismatch") (fun () ->
       ignore (Mts.serve t [| 0.0 |]));
@@ -256,6 +256,174 @@ let test_marking_uniform () =
     true
     (cost <= 10.0 *. (opt +. 1.0))
 
+(* --- indicator step: sum tree vs the dense oracle --------------------- *)
+
+module Smin_mw = Rbgp_mts.Smin_mw
+
+(* the next request of a seeded trace: half the time the solver's own
+   state (the chasing adversary, which exercises the move branch), half
+   the time a uniform edge *)
+let next_request rng t s =
+  if Rng.bool rng then Mts.state t else Rng.int rng s
+
+let indicator_trace_gen =
+  QCheck2.Gen.(
+    triple (int_range 2 512) (int_range 0 5_000) (int_range 0 1_000_000))
+
+(* tree leaves vs Smin_mw.distribution of the same x: 1e-12 relative on
+   every entry above 1e-100, and negligible entries stay negligible *)
+let tree_matches_dense metric view =
+  let x, leaves = view () in
+  let dense = Rbgp_util.Dist.to_array (Smin_mw.distribution metric x) in
+  let ok = ref true in
+  Array.iteri
+    (fun i p ->
+      let q = leaves.(i) in
+      if p >= 1e-100 then begin
+        if Float.abs (q -. p) > 1e-12 *. p then ok := false
+      end
+      else if q >= 1e-99 then ok := false)
+    dense;
+  !ok
+
+let test_tree_distribution =
+  qtest ~count:50 "tree leaves = dense smin distribution after every step"
+    indicator_trace_gen (fun (s, len, seed) ->
+      let metric = Metric.Line s in
+      let t, view =
+        Smin_mw.solver_introspect metric ~start:(s / 2) ~rng:(Rng.create seed)
+      in
+      let rng = Rng.create (seed + 1) in
+      let ok = ref (tree_matches_dense metric view) in
+      for _ = 1 to len do
+        ignore (Mts.serve_indicator t (next_request rng t s) : int);
+        if not (tree_matches_dense metric view) then ok := false
+      done;
+      !ok)
+
+let same_costs a b =
+  Float.equal (Mts.hit_cost a) (Mts.hit_cost b)
+  && Float.equal (Mts.move_cost a) (Mts.move_cost b)
+  && Mts.steps a = Mts.steps b
+
+(* serve one trace through [serve_indicator] on [a] and through the dense
+   [serve (indicator e)] on [b]; true iff every decision agrees *)
+let replay_pair a b ~s ~len ~seed =
+  let rng = Rng.create seed in
+  let same = ref true in
+  for _ = 1 to len do
+    let e = next_request rng a s in
+    let da = Mts.serve_indicator a e in
+    let db = Mts.serve b (Mts.indicator e ~n:s) in
+    if da <> db then same := false
+  done;
+  !same && same_costs a b
+
+let scale_gen =
+  QCheck2.Gen.(
+    oneof [ return None; map (fun c -> Some c) (float_range 1.0 4.0) ])
+
+let test_tree_decisions =
+  qtest ~count:40 "serve_indicator decisions = serve (indicator e)"
+    QCheck2.Gen.(
+      pair indicator_trace_gen (pair bool scale_gen))
+    (fun ((s, len, seed), (uniform, scale)) ->
+      let metric = if uniform then Metric.Uniform s else Metric.Line s in
+      let factory =
+        match scale with
+        | None -> Smin_mw.solver
+        | Some c -> Smin_mw.solver_with_scale ~c
+      in
+      let make () = factory metric ~start:(s / 2) ~rng:(Rng.create seed) in
+      replay_pair (make ()) (make ()) ~s ~len ~seed:(seed + 1))
+
+let test_tree_rebase () =
+  (* round robin at s = 4 (c = 3): the root shrinks by e^(-1/12) per
+     step, so 20k steps cross the underflow guard several times and would
+     underflow every leaf to 0 without a rebase *)
+  let s = 4 in
+  let metric = Metric.Line s in
+  let make () = Smin_mw.solver_introspect metric ~start:0 ~rng:(Rng.create 11) in
+  let t, view = make () and twin, _ = make () in
+  let same = ref true in
+  for j = 0 to 19_999 do
+    let e = j mod s in
+    if Mts.serve_indicator t e <> Mts.serve twin (Mts.indicator e ~n:s) then
+      same := false
+  done;
+  Alcotest.(check bool) "decisions = dense twin" true !same;
+  Alcotest.(check bool) "costs = dense twin" true (same_costs t twin);
+  Alcotest.(check bool) "tree = dense distribution" true
+    (tree_matches_dense metric view);
+  let x, _ = view () in
+  Alcotest.(check (float 0.0)) "x counts every request" 5_000.0 x.(0)
+
+let test_tree_mixed =
+  (* general vectors interleaved with indicator steps on one solver, an
+     all-dense twin fed the same tasks as vectors *)
+  qtest ~count:30 "mixed general vectors and indicator steps = dense twin"
+    QCheck2.Gen.(triple (int_range 2 64) (int_range 0 2_000) (int_range 0 1_000_000))
+    (fun (s, len, seed) ->
+      let metric = Metric.Line s in
+      let t, view =
+        Smin_mw.solver_introspect metric ~start:0 ~rng:(Rng.create seed)
+      in
+      let twin = Smin_mw.solver metric ~start:0 ~rng:(Rng.create seed) in
+      let rng = Rng.create (seed + 1) in
+      let same = ref true in
+      for _ = 1 to len do
+        if Rng.int rng 4 = 0 then begin
+          let v =
+            Array.init s (fun _ ->
+                if Rng.bool rng then 0.0 else 3.0 *. Rng.float rng)
+          in
+          if Mts.serve t v <> Mts.serve twin v then same := false
+        end
+        else begin
+          let e = next_request rng t s in
+          if Mts.serve_indicator t e <> Mts.serve twin (Mts.indicator e ~n:s)
+          then same := false
+        end
+      done;
+      !same && same_costs t twin && tree_matches_dense metric view)
+
+let test_serve_indicator_validation () =
+  let metric = Metric.Line 4 in
+  let t = Smin_mw.solver metric ~start:0 ~rng:(Rng.create 0) in
+  let oob = Invalid_argument "Mts.serve_indicator: index out of range" in
+  Alcotest.check_raises "index = size" oob (fun () ->
+      ignore (Mts.serve_indicator t 4));
+  Alcotest.check_raises "negative index" oob (fun () ->
+      ignore (Mts.serve_indicator t (-1)));
+  let scripted =
+    Mts.make ~name:"id" ~metric ~start:1 ~next:(fun _ s -> s) ()
+  in
+  Alcotest.check_raises "default step, index = size" oob (fun () ->
+      ignore (Mts.serve_indicator scripted 4));
+  Alcotest.(check int) "nothing served" 0 (Mts.steps t + Mts.steps scripted);
+  (* costs of +infinity everywhere leave no finite weight: the dense step
+     rejects its NaN gradient after adding the costs to x, and the next
+     indicator step's rebuilt leaf is exp (inf - inf) = NaN *)
+  let u = Smin_mw.solver metric ~start:0 ~rng:(Rng.create 0) in
+  (try ignore (Mts.serve u (Array.make 4 Float.infinity)) with
+  | Invalid_argument _ -> ());
+  Alcotest.check_raises "NaN leaf"
+    (Invalid_argument "Smin_mw.serve_indicator: leaf weight is negative or NaN")
+    (fun () -> ignore (Mts.serve_indicator u 2))
+
+let test_default_indicator_step =
+  (* the solvers without a specialised step go through the reused scratch
+     vector: same states and costs as serve (indicator e) *)
+  qtest ~count:60 "default next_indicator = serve (indicator e)"
+    QCheck2.Gen.(triple (int_range 2 32) (int_range 0 400) (int_range 0 1_000_000))
+    (fun (s, len, seed) ->
+      let m = Metric.Line s in
+      List.for_all
+        (fun (solver : Mts.factory) ->
+          let make () = solver m ~start:(s / 2) ~rng:(Rng.create seed) in
+          replay_pair (make ()) (make ()) ~s ~len ~seed:(seed + 1))
+        [ Wfa.solver; Rbgp_mts.Marking.solver; Rbgp_mts.Hst_mts.solver ])
+
 let () =
   Alcotest.run "rbgp_mts"
     [
@@ -287,5 +455,15 @@ let () =
           Alcotest.test_case "hst rejects uniform" `Quick test_hst_rejects_uniform;
           test_randomized_reasonable;
           Alcotest.test_case "marking on uniform" `Quick test_marking_uniform;
+        ] );
+      ( "indicator",
+        [
+          test_tree_distribution;
+          test_tree_decisions;
+          Alcotest.test_case "rebase (round robin, s = 4)" `Quick
+            test_tree_rebase;
+          test_tree_mixed;
+          Alcotest.test_case "validation" `Quick test_serve_indicator_validation;
+          test_default_indicator_step;
         ] );
     ]
