@@ -3,9 +3,10 @@
    1. component micro-benchmarks: one closure per component that the
       experiments exercise (smin gradients, couplings, MTS solver steps,
       offline DPs, slicing/clustering/scheduling steps, whole-algorithm
-      request handling).  Measurement is a small in-repo harness (warmup,
-      linearly growing iteration counts, least-squares through the origin,
-      residual-based outlier trimming) — see [measure] below; the earlier
+      request handling, checkpoint rolls at two prefix lengths).
+      Measurement is a small in-repo harness (warmup, linearly growing
+      iteration counts, least-squares through the origin, residual-based
+      outlier trimming) — see [measure] below; the earlier
       bechamel-based harness pinned slow functions to a near-constant
       iteration count, which degenerated the regression and produced the
       r^2 collapse recorded in BENCH_3.json.  A component whose fit still
@@ -98,6 +99,22 @@ let ols_origin pts =
    whole bench run past CI patience *)
 let sample_budget_ns = 0.4 *. 1e9
 
+(* trim the fifth of the points that sit farthest (relative residual)
+   from a first fit — scheduler blips land in a handful of samples —
+   then refit on the survivors *)
+let fit_trimmed pts =
+  let s = Array.length pts in
+  let slope0, _ = ols_origin pts in
+  let scored =
+    Array.map
+      (fun (x, y) -> (Float.abs (y -. (slope0 *. x)) /. x, (x, y)))
+      pts
+  in
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) scored;
+  let keep = min (Array.length scored) (max 5 (s * 4 / 5)) in
+  let kept = Array.map snd (Array.sub scored 0 keep) in
+  ols_origin kept
+
 let measure f =
   for _ = 1 to 3 do
     f ()
@@ -125,24 +142,10 @@ let measure f =
   let step =
     max 1 (int_of_float (sample_budget_ns /. (per_call *. tri s)))
   in
-  let pts =
-    Array.init s (fun i ->
-        let iters = (i + 1) * step in
-        (float_of_int iters, time_iters f iters))
-  in
-  (* trim the fifth of the points that sit farthest (relative residual)
-     from a first fit — scheduler blips land in a handful of samples —
-     then refit on the survivors *)
-  let slope0, _ = ols_origin pts in
-  let scored =
-    Array.map
-      (fun (x, y) -> (Float.abs (y -. (slope0 *. x)) /. x, (x, y)))
-      pts
-  in
-  Array.sort (fun (a, _) (b, _) -> Float.compare a b) scored;
-  let keep = min (Array.length scored) (max 5 (s * 4 / 5)) in
-  let kept = Array.map snd (Array.sub scored 0 keep) in
-  ols_origin kept
+  fit_trimmed
+    (Array.init s (fun i ->
+         let iters = (i + 1) * step in
+         (float_of_int iters, time_iters f iters)))
 
 (* --- component fixtures -------------------------------------------- *)
 
@@ -259,12 +262,63 @@ let components_spec : (string * (unit -> unit)) list =
         ignore (Rbgp_hitting.Interval_growing.serve ig (!i * 97 mod k)) );
   ]
 
+(* [measure] for an operation that cannot be repeated in place: [prepare]
+   builds a fresh state untimed and returns the timed step on it.  Sample
+   x (x = 1..s) prepares x states and times the x steps, and the points
+   are fitted like [measure]'s.  Each sample's steps start from a
+   finished major cycle: otherwise a large allocation in a step pays,
+   through the collector's pacing, for marking whatever the preparation
+   and the earlier benchmarks left in the heap, and that debt, not the
+   step, would set the slope. *)
+let measure_prepared ?(s = 16) prepare =
+  prepare () ();
+  fit_trimmed
+    (Array.init s (fun i ->
+         let steps = Array.init (i + 1) (fun _ -> prepare ()) in
+         Gc.full_major ();
+         let t0 = now_ns () in
+         Array.iter (fun step -> step ()) steps;
+         (float_of_int (i + 1), now_ns () -. t0)))
+
+(* One checkpoint roll at a fixed position: [Engine.checkpoint] +
+   [Checkpoint.to_string] on a never-move engine (n = 1024) that has
+   served 4096 requests since its previous roll, so the roll also folds
+   those requests into the prefix CRC.  A roll is not repeatable in place
+   (the position moves on and the CRC stays cached), so every timed roll
+   gets its own engine, resumed from a fixture checkpoint at pos - 4096
+   (explicit state, no replay) and advanced untimed. *)
+let ckpt_roll ~pos =
+  let n = 1024 and fresh = 4096 in
+  let inst = Rbgp_ring.Instance.blocks ~n ~ell:16 in
+  let trace =
+    match Rbgp_workloads.Workloads.rotating ~n ~steps:pos (Rbgp_util.Rng.create 5) with
+    | Rbgp_ring.Trace.Fixed a -> a
+    | Rbgp_ring.Trace.Adaptive _ -> assert false
+  in
+  let base = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:1 inst in
+  Rbgp_serve.Engine.ingest_batch_quiet base (Array.sub trace 0 (pos - fresh));
+  let fixture = Rbgp_serve.Engine.checkpoint base in
+  let recent = Array.sub trace (pos - fresh) fresh in
+  fun () ->
+    let e = Rbgp_serve.Engine.resume fixture in
+    Rbgp_serve.Engine.ingest_batch_quiet e recent;
+    fun () ->
+      ignore (Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint e))
+
+let prepared_rows () =
+  List.map
+    (fun (name, pos) -> (name, measure_prepared (ckpt_roll ~pos)))
+    [ ("ckpt: roll pos=2^14", 1 lsl 14); ("ckpt: roll pos=2^18", 1 lsl 18) ]
+
 let run_benchmarks () =
   let tbl = Rbgp_util.Tbl.create ~headers:[ "benchmark"; "time/run"; "r2" ] in
+  let fits =
+    List.map (fun (name, f) -> (name, measure f)) components_spec
+    @ prepared_rows ()
+  in
   let components =
     List.map
-      (fun (name, f) ->
-        let est, r2 = measure f in
+      (fun (name, (est, r2)) ->
         let human t =
           if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
           else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
@@ -273,7 +327,7 @@ let run_benchmarks () =
         Rbgp_util.Tbl.add_row tbl
           [ name; human est; Printf.sprintf "%.3f" r2 ];
         (name, est, r2))
-      components_spec
+      fits
   in
   print_endline
     "component micro-benchmarks (growing-iteration OLS through origin):";
@@ -809,6 +863,7 @@ let ingest_bench () =
 
 type faults_point = {
   fp_requests : int;
+  fp_passes : int;
   fp_baseline_rps : float;
   fp_disabled_rps : float;
   fp_armed_rps : float;
@@ -831,8 +886,8 @@ type faults_point = {
 
    overhead_frac = (baseline - disabled) / baseline is the number CI
    gates below 0.02; the armed figure is reported alongside so a
-   regression in the armed-but-idle path is visible in the history.
-   Each timing is best-of-3 to shed scheduler noise, and all three runs
+   regression in the armed-but-idle path is visible in the history.  It
+   is the median of paired block differences (see below), and every run
    must end in byte-identical checkpoints. *)
 let faults_bench () =
   let n = 4096 and ell = 32 and steps = 1_000_000 in
@@ -848,87 +903,138 @@ let faults_bench () =
   Rbgp_workloads.Trace_codec.write ~path ~n ~ell ~seed:7 trace;
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
   let batch = 4096 in
-  let block = Array.make batch 0 in
+  let engine () = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:42 inst in
+  let serve engine block got =
+    Rbgp_serve.Engine.ingest_batch_quiet engine
+      (if got = batch then block else Array.sub block 0 got)
+  in
+  (* off the clock: the checkpoint only feeds the identity check *)
   let finish engine =
     assert (Rbgp_serve.Engine.pos engine = steps);
     Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint engine)
   in
-  let baseline () =
-    let engine = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:42 inst in
+  (* the hook-free loop and the Source pipeline, one block at a time *)
+  let hook_free () =
     let r = Rbgp_workloads.Trace_codec.map ~path path in
     ignore (Rbgp_workloads.Trace_codec.header_of_region ~path r);
-    let continue = ref true in
-    while !continue do
+    let block = Array.make batch 0 in
+    fun engine ->
       let got =
         Rbgp_workloads.Trace_codec.decode_requests_into ~path r ~n block
           ~limit:batch
       in
-      if got = 0 then continue := false
-      else
-        Rbgp_serve.Engine.ingest_batch_quiet engine
-          (if got = batch then block else Array.sub block 0 got)
-    done;
-    finish engine
+      if got > 0 then serve engine block got;
+      got
   in
-  let pipeline () =
-    let engine = Rbgp_serve.Engine.create ~alg:"never-move" ~seed:42 inst in
+  let source () =
     let src = Rbgp_serve.Source.open_file ~mmap:`On ~n path in
-    let continue = ref true in
-    while !continue do
-      let got = Rbgp_serve.Source.next_batch src block ~limit:batch in
-      if got = 0 then continue := false
-      else
-        Rbgp_serve.Engine.ingest_batch_quiet engine
-          (if got = batch then block else Array.sub block 0 got)
-    done;
-    Rbgp_serve.Source.close src;
-    finish engine
+    let block = Array.make batch 0 in
+    ( (fun engine ->
+        let got = Rbgp_serve.Source.next_batch src block ~limit:batch in
+        if got > 0 then serve engine block got;
+        got),
+      fun () -> Rbgp_serve.Source.close src )
   in
-  (* warm the page cache before any timed pass *)
-  ignore (baseline ());
-  (* Interleave the three configs round-robin and keep each config's
-     fastest pass: timing each config in consecutive passes lets one
-     transient machine stall land entirely on one config and fake a
-     large overhead (or a negative one), while under interleaving every
-     config samples the same conditions and the minima are comparable. *)
-  let rounds = 5 in
-  let armed f =
+  (* The two gated configs are interleaved block by block: one pass
+     serves the trace twice, a hook-free engine and a disabled-pipeline
+     engine taking turns on 4096-request blocks (who goes first flips
+     every block), with one clock pair per block.  The host's speed
+     drifts in levels that last seconds and stalls last milliseconds; at
+     sub-millisecond turns both configs sample the same moments, so a
+     block pair's difference cancels what timing whole passes one after
+     another cannot (the never-move pipeline varies by +-15% between
+     passes).  The gate takes the median over all full block pairs, which
+     also sheds the pairs a major GC slice or a preemption split. *)
+  let paired_pass () =
+    let base = engine () and dis = engine () in
+    let base_next = hook_free () and dis_next, close = source () in
+    let base_dt = ref 0.0 and dis_dt = ref 0.0 and pairs = ref [] in
+    let timed_block next engine dt =
+      let t0 = Unix.gettimeofday () in
+      let got = next engine in
+      let d = Unix.gettimeofday () -. t0 in
+      dt := !dt +. d;
+      (got, d)
+    in
+    let flip = ref false and continue = ref true in
+    while !continue do
+      let (got, b), (got_dis, d) =
+        if !flip then
+          let d = timed_block dis_next dis dis_dt in
+          (timed_block base_next base base_dt, d)
+        else
+          let b = timed_block base_next base base_dt in
+          (b, timed_block dis_next dis dis_dt)
+      in
+      assert (got = got_dis);
+      if got = batch && d > 0. then pairs := (1. -. (b /. d)) :: !pairs;
+      flip := not !flip;
+      continue := got > 0
+    done;
+    close ();
+    ((base, !base_dt), (dis, !dis_dt), !pairs)
+  in
+  (* armed-idle is reported, not gated: the fault plan is process-wide,
+     so it cannot share a pass with the disabled config *)
+  let armed_pass () =
     Fun.protect ~finally:Rbgp_serve.Fault.disable (fun () ->
         Rbgp_serve.Fault.configure "crash@2000000000";
-        timed f)
+        let e = engine () and next, close = source () in
+        let (), dt =
+          timed (fun () -> while next e > 0 do () done)
+        in
+        close ();
+        (e, dt))
   in
-  let base_ck = ref "" and dis_ck = ref "" and armed_ck = ref "" in
-  let base_dt = ref infinity
-  and dis_dt = ref infinity
-  and armed_dt = ref infinity in
-  for _ = 1 to rounds do
-    let take ck dt (c, d) =
-      ck := c;
-      if d < !dt then dt := d
-    in
-    take base_ck base_dt (timed baseline);
-    take dis_ck dis_dt (timed pipeline);
-    take armed_ck armed_dt (armed pipeline)
+  (* warm the page cache before any timed pass; every timed run must end
+     in this pass's checkpoint *)
+  let reference =
+    let (e, _), _, _ = paired_pass () in
+    finish e
+  in
+  let passes = 7 in
+  let identical = ref true in
+  let keep (e, dt) =
+    if not (String.equal (finish e) reference) then identical := false;
+    dt
+  in
+  let base_dt = Array.make passes 0.0
+  and dis_dt = Array.make passes 0.0
+  and armed_dt = Array.make passes 0.0
+  and pass_overheads = Array.make passes 0.0
+  and pairs = ref [] in
+  for r = 0 to passes - 1 do
+    let b, d, p = paired_pass () in
+    base_dt.(r) <- keep b;
+    dis_dt.(r) <- keep d;
+    pass_overheads.(r) <- Rbgp_util.Stats.median (Array.of_list p);
+    pairs := p @ !pairs;
+    armed_dt.(r) <- keep (armed_pass ())
   done;
-  let rps dt = float_of_int steps /. !dt in
-  let base_ck, baseline_rps = (!base_ck, rps base_dt) in
-  let dis_ck, disabled_rps = (!dis_ck, rps dis_dt) in
-  let armed_ck, armed_rps = (!armed_ck, rps armed_dt) in
-  let identical = String.equal base_ck dis_ck && String.equal dis_ck armed_ck in
-  let overhead = (baseline_rps -. disabled_rps) /. baseline_rps in
+  let rps dts = float_of_int steps /. Rbgp_util.Stats.median dts in
+  let baseline_rps = rps base_dt
+  and disabled_rps = rps dis_dt
+  and armed_rps = rps armed_dt in
+  let overhead = Rbgp_util.Stats.median (Array.of_list !pairs) in
   Printf.printf
-    "faults overhead (never-move, quiet, %d reqs): hook-free %.0f req/s, \
-     disabled %.0f req/s (%.2f%% overhead), armed-idle %.0f req/s, \
+    "faults overhead (never-move, quiet, %d reqs, median of %d block pairs \
+     over %d passes): hook-free %.0f req/s, disabled %.0f req/s (%.2f%% \
+     overhead, per-pass medians %.2f%%..%.2f%%), armed-idle %.0f req/s, \
      checkpoints %s\n"
-    steps baseline_rps disabled_rps (100. *. overhead) armed_rps
-    (if identical then "identical" else "DIVERGED");
+    steps (List.length !pairs) passes baseline_rps disabled_rps
+    (100. *. overhead)
+    (100. *. Rbgp_util.Stats.min pass_overheads)
+    (100. *. Rbgp_util.Stats.max pass_overheads)
+    armed_rps
+    (if !identical then "identical" else "DIVERGED");
   {
     fp_requests = steps;
+    fp_passes = passes;
     fp_baseline_rps = baseline_rps;
     fp_disabled_rps = disabled_rps;
     fp_armed_rps = armed_rps;
     fp_overhead_frac = overhead;
-    fp_identical = identical;
+    fp_identical = !identical;
   }
 
 type net_point = {
@@ -1202,7 +1308,8 @@ let write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
     ingest.ing_pipeline;
   out "    ],\n    \"serve_identical\": %b\n  },\n" ingest.ing_serve_identical;
   out "  \"faults\": {\n";
-  out "    \"requests\": %d,\n" faults.fp_requests;
+  out "    \"requests\": %d,\n    \"passes\": %d,\n" faults.fp_requests
+    faults.fp_passes;
   out "    \"baseline_rps\": %s,\n    \"disabled_rps\": %s,\n"
     (json_num faults.fp_baseline_rps)
     (json_num faults.fp_disabled_rps);

@@ -224,6 +224,7 @@ let sim_cmd =
 module Engine = Rbgp_serve.Engine
 module Metrics = Rbgp_serve.Metrics
 module Ckpt = Rbgp_serve.Checkpoint
+module Prefix_log = Rbgp_serve.Prefix_log
 module Source = Rbgp_serve.Source
 module Fault = Rbgp_serve.Fault
 module Net = Rbgp_serve.Net
@@ -323,12 +324,13 @@ let serve_loop engine source ~decisions ~metrics_every ~checkpoint_path
    request.  Verified in blocks: one next_batch pull per chunk instead of
    one closure dispatch per already-served request. *)
 let consume_prefix source (ckpt : Ckpt.t) =
-  let prefix = ckpt.Ckpt.prefix in
-  let total = Array.length prefix in
-  let chunk = Array.make (Stdlib.min 8192 (Stdlib.max 1 total)) 0 in
+  let total = Prefix_log.count ckpt.Ckpt.prefix in
+  let size = Stdlib.min 8192 (Stdlib.max 1 total) in
+  let chunk = Array.make size 0 and served = Array.make size 0 in
+  let cur = Prefix_log.cursor ckpt.Ckpt.prefix in
   let at = ref 0 in
   while !at < total do
-    let want = Stdlib.min (Array.length chunk) (total - !at) in
+    let want = Stdlib.min size (total - !at) in
     let got = Source.next_batch source chunk ~limit:want in
     if got = 0 then
       failwith
@@ -336,14 +338,14 @@ let consume_prefix source (ckpt : Ckpt.t) =
            "resume: trace ends at request %d but the checkpoint already \
             served %d requests"
            !at ckpt.Ckpt.pos);
+    ignore (Prefix_log.decode cur served ~limit:got);
     for j = 0 to got - 1 do
-      if chunk.(j) <> prefix.(!at + j) then
+      if chunk.(j) <> served.(j) then
         failwith
           (Printf.sprintf
              "resume: trace diverges from checkpoint at request %d (trace \
               has %d, checkpoint served %d)"
-             (!at + j) chunk.(j)
-             prefix.(!at + j))
+             (!at + j) chunk.(j) served.(j))
     done;
     at := !at + got
   done

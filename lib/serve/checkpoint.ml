@@ -11,7 +11,7 @@ type t = {
   k : int;
   initial : int array;
   pos : int;
-  prefix : int array;
+  prefix : Prefix_log.view;
   comm : int;
   mig : int;
   max_load : int;
@@ -44,44 +44,66 @@ let read_float ?path r =
    v2 appends the degraded-span record (flattened (start, len) pairs plus
    the in-flight cooloff remainder) and a little-endian CRC-32 trailer
    over every preceding byte, so torn or bit-flipped records are detected
-   before any field is trusted. *)
-let to_string ?(version = version) t =
+   before any field is trusted.
+
+   The prefix's bytes are already encoded in the view, exactly as
+   [Binc.add_int_array] would emit its elements, so only the head (through
+   the prefix count) and the tail are encoded here, and the prefix's
+   cached CRC is spliced in with [Crc32.combine].  [pieces] returns the
+   head and the tail (for v2 ending in the CRC trailer); [to_string]
+   copies the prefix between them once, [write] streams it to the file. *)
+let pieces ~version t =
   if version <> 1 && version <> 2 then
     invalid_arg (Printf.sprintf "Checkpoint.to_string: unknown version %d" version);
   if version = 1 && (Array.length t.degraded > 0 || t.degraded_left > 0) then
     invalid_arg "Checkpoint.to_string: degraded spans need version >= 2";
-  let buf = Buffer.create (64 + (8 * (t.pos + t.n))) in
-  Buffer.add_string buf magic;
-  Binc.add_varint buf version;
-  Binc.add_string buf t.alg;
-  add_float buf t.epsilon;
-  Binc.add_zigzag buf t.seed;
-  Binc.add_varint buf t.n;
-  Binc.add_varint buf t.ell;
-  Binc.add_varint buf t.k;
-  Binc.add_int_array buf t.initial;
-  Binc.add_varint buf t.pos;
-  Binc.add_int_array buf t.prefix;
-  Binc.add_varint buf t.comm;
-  Binc.add_varint buf t.mig;
-  Binc.add_varint buf t.max_load;
-  Binc.add_varint buf t.violations;
-  Binc.add_int_array buf t.assignment;
+  let head = Buffer.create (64 + (2 * t.n)) in
+  Buffer.add_string head magic;
+  Binc.add_varint head version;
+  Binc.add_string head t.alg;
+  add_float head t.epsilon;
+  Binc.add_zigzag head t.seed;
+  Binc.add_varint head t.n;
+  Binc.add_varint head t.ell;
+  Binc.add_varint head t.k;
+  Binc.add_int_array head t.initial;
+  Binc.add_varint head t.pos;
+  Binc.add_varint head (Prefix_log.count t.prefix);
+  let tail = Buffer.create (64 + (2 * t.n)) in
+  Binc.add_varint tail t.comm;
+  Binc.add_varint tail t.mig;
+  Binc.add_varint tail t.max_load;
+  Binc.add_varint tail t.violations;
+  Binc.add_int_array tail t.assignment;
   (match t.alg_state with
-  | None -> Binc.add_varint buf 0
+  | None -> Binc.add_varint tail 0
   | Some s ->
-      Binc.add_varint buf 1;
-      Binc.add_string buf s);
+      Binc.add_varint tail 1;
+      Binc.add_string tail s);
   if version >= 2 then begin
-    Binc.add_int_array buf t.degraded;
-    Binc.add_varint buf t.degraded_left;
-    let crc = Crc32.string (Buffer.contents buf) in
-    Buffer.add_char buf (Char.chr (crc land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
-    Buffer.add_char buf (Char.chr ((crc lsr 24) land 0xff))
+    Binc.add_int_array tail t.degraded;
+    Binc.add_varint tail t.degraded_left;
+    let rest = Buffer.contents tail in
+    let crc =
+      Crc32.update
+        (Crc32.combine
+           (Crc32.string (Buffer.contents head))
+           (Prefix_log.crc t.prefix)
+           (Prefix_log.byte_length t.prefix))
+        rest ~pos:0 ~len:(String.length rest)
+    in
+    Buffer.add_int32_le tail (Int32.of_int crc)
   end;
-  Buffer.contents buf
+  (head, tail)
+
+let to_string ?(version = version) t =
+  let head, tail = pieces ~version t in
+  let hl = Buffer.length head and pl = Prefix_log.byte_length t.prefix in
+  let out = Bytes.create (hl + pl + Buffer.length tail) in
+  Buffer.blit head 0 out 0 hl;
+  Prefix_log.blit t.prefix out hl;
+  Buffer.blit tail 0 out (hl + pl) (Buffer.length tail);
+  Bytes.unsafe_to_string out
 
 let of_string ?path s =
   if String.length s < String.length magic
@@ -119,7 +141,15 @@ let of_string ?path s =
      let k = Binc.read_varint r in
      let initial = Binc.read_int_array r in
      let pos = Binc.read_varint r in
-     let prefix = Binc.read_int_array r in
+     let count = Binc.read_varint r in
+     (* step over the encoded prefix without decoding it: the view below
+        aliases these bytes, and resume decodes them block by block *)
+     let prefix_at = Binc.reader_pos r in
+     Binc.skip_varints r count;
+     let prefix =
+       Prefix_log.of_string s ~off:prefix_at
+         ~len:(Binc.reader_pos r - prefix_at) ~count
+     in
      let comm = Binc.read_varint r in
      let mig = Binc.read_varint r in
      let max_load = Binc.read_varint r in
@@ -137,9 +167,8 @@ let of_string ?path s =
      if v >= 2 && Binc.reader_pos r <> body_end then
        fail ?path "record has %d trailing bytes before the CRC"
          (body_end - Binc.reader_pos r);
-     if Array.length prefix <> pos then
-       fail ?path "prefix length %d does not match pos %d"
-         (Array.length prefix) pos;
+     if count <> pos then
+       fail ?path "prefix length %d does not match pos %d" count pos;
      if Array.length initial <> n || Array.length assignment <> n then
        fail ?path "assignment arrays do not match n = %d" n;
      if Array.length degraded land 1 <> 0 then
@@ -161,15 +190,24 @@ let of_string ?path s =
    and the process "dies": recovery must then fall back to an older
    generation, which is exactly what the crash matrix exercises. *)
 let write ~path t =
-  let data = to_string t in
-  match Fault.checkpoint_write_plan ~len:(String.length data) with
-  | `Full -> Durable.atomic_write ~path data
+  let head, tail = pieces ~version t in
+  let len =
+    Buffer.length head + Prefix_log.byte_length t.prefix + Buffer.length tail
+  in
+  match Fault.checkpoint_write_plan ~len with
+  | `Full ->
+      (* streamed: no record-sized copy of the prefix per roll *)
+      Durable.atomic_write_with ~path (fun oc ->
+          Buffer.output_buffer oc head;
+          Prefix_log.output oc t.prefix;
+          Buffer.output_buffer oc tail)
   | `Flip bit ->
-      let b = Bytes.of_string data in
+      let b = Bytes.of_string (to_string t) in
       let i = bit lsr 3 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7))));
       Durable.atomic_write ~path (Bytes.unsafe_to_string b)
   | `Tear keep ->
+      let data = to_string t in
       let oc = open_out_bin path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
@@ -246,6 +284,6 @@ let to_json t =
     version t.alg t.epsilon t.seed t.n t.ell t.k t.pos t.comm t.mig
     t.max_load t.violations
     (Option.is_some t.alg_state)
-    (Array.length t.prefix)
+    (Prefix_log.count t.prefix)
     (Array.length t.degraded / 2)
     t.degraded_left

@@ -28,6 +28,26 @@
     over all preceding bytes; version 1 files remain readable.  Floats
     travel as ["%h"] hex-float strings, which round-trip exactly.
 
+    {b Incremental encoding.}  A live engine keeps its served prefix as an
+    append-only {!Prefix_log}: the requests' zigzag varints, exactly the
+    bytes this record carries for them, plus a CRC-32 of those bytes that
+    is advanced lazily over whatever was appended since the last
+    snapshot.  [prefix] is an O(1) immutable view of that log (bytes,
+    length, count, CRC), still valid after the log appends or reallocates.
+    {!to_string} therefore encodes only the head (through the prefix
+    count) and the tail, copies the prefix bytes once, and computes the
+    record CRC as [crc(head ^ prefix ^ tail)] from [crc(head)], the
+    view's cached CRC and [Rbgp_util.Crc32.combine], then streams the
+    tail.  The bytes are unchanged because the log's encoding is
+    [Binc.add_zigzag] per request and CRC-32 is linear, so the spliced
+    checksum equals the one-pass checksum; the test suite keeps the
+    one-pass Buffer encoder as the byte-for-byte oracle.  A roll costs
+    O(requests since the last roll + n) encoding plus one copy, not
+    O(prefix) encoding; {!write} skips even the copy, streaming the
+    prefix bytes from the view to the file.  {!of_string} still verifies the full CRC first,
+    then steps over the prefix varints (well-formed, count = [pos])
+    before it trusts anything, and views them in place.
+
     {b Durability.}  {!write} routes through
     {!Rbgp_util.Durable.atomic_write} (tmp + fsync + rename + parent-dir
     fsync), so a crash mid-write never leaves a torn file at the
@@ -44,7 +64,8 @@ type t = {
   k : int;
   initial : int array;
   pos : int;  (** requests served before the snapshot *)
-  prefix : int array;  (** the served requests, length [pos] *)
+  prefix : Prefix_log.view;
+      (** the served requests, [pos] of them, already encoded *)
   comm : int;
   mig : int;
   max_load : int;
@@ -65,7 +86,8 @@ val version : int
 (** The current (newest writable) format version. *)
 
 val write : path:string -> t -> unit
-(** Atomic durable write via {!Rbgp_util.Durable.atomic_write}.  Honours
+(** Atomic durable write via {!Rbgp_util.Durable.atomic_write_with}: the
+    bytes of {!to_string}, streamed without a record-sized copy.  Honours
     the active {!Fault} plan: a planned tear writes truncated bytes
     directly to [path] and raises {!Fault.Injected_crash}; a planned bit
     flip corrupts the serialized record (still written atomically). *)

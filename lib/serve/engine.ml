@@ -23,7 +23,7 @@ type t = {
   online : Online.t;
   stepper : Simulator.stepper;
   metrics : Metrics.t;
-  mutable prefix : int array;
+  prefix : Prefix_log.t;  (* the served requests, encoded for checkpoints *)
   mutable pos : int;
   sanitize : bool;
   (* solver-budget degradation: when a request's effective solve time
@@ -96,14 +96,11 @@ let check_step_invariants t ~step ~comm ~prev_comm ~prev_mig ~prev_max
 
 let make_engine ?(strict = true) ?(accounting = `Auto) ?sanitize ~epsilon ~alg
     ~seed ?(cost = Cost.zero ()) ?max_load ?violations ?(steps_done = 0)
-    ?(prefix = [||]) (inst : Instance.t) (online : Online.t) =
+    ?prefix (inst : Instance.t) (online : Online.t) =
   let stepper =
     Simulator.stepper ~strict ~accounting ~cost ?max_load ?violations
       ~steps_done inst online
   in
-  let cap = max 1024 (Array.length prefix) in
-  let buf = Array.make cap 0 in
-  Array.blit prefix 0 buf 0 (Array.length prefix);
   let sanitize =
     match sanitize with Some b -> b | None -> sanitize_default ()
   in
@@ -115,7 +112,10 @@ let make_engine ?(strict = true) ?(accounting = `Auto) ?sanitize ~epsilon ~alg
     online;
     stepper;
     metrics = Metrics.create ();
-    prefix = buf;
+    prefix =
+      (match prefix with
+      | Some v -> Prefix_log.of_view v
+      | None -> Prefix_log.create ());
     pos = steps_done;
     sanitize;
     budget_ns = 0;
@@ -128,14 +128,6 @@ let create ?strict ?accounting ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
   let spec = Registry.find alg in
   let online = spec.Registry.build ~epsilon ~seed inst in
   make_engine ?strict ?accounting ?sanitize ~epsilon ~alg ~seed inst online
-
-let push_prefix t e =
-  if t.pos >= Array.length t.prefix then begin
-    let bigger = Array.make (2 * Array.length t.prefix) 0 in
-    Array.blit t.prefix 0 bigger 0 t.pos;
-    t.prefix <- bigger
-  end;
-  t.prefix.(t.pos) <- e
 
 (* One request's bookkeeping around [play] (the accounting step):
    identical for the per-request and batched paths, so every decision
@@ -155,7 +147,7 @@ let ingest_step t e play x =
     else None
   in
   let comm, moved = play t.stepper x in
-  push_prefix t e;
+  Prefix_log.push t.prefix e;
   t.pos <- t.pos + 1;
   let r = Simulator.stepper_result t.stepper in
   (match prev with
@@ -297,7 +289,7 @@ let ingest_batch_quiet t edges =
     let play = Simulator.prepare t.stepper edges in
     for j = 0 to b - 1 do
       ignore (play j);
-      push_prefix t edges.(j);
+      Prefix_log.push t.prefix edges.(j);
       t.pos <- t.pos + 1
     done;
     let latency_ns = now_ns () - t0 in
@@ -331,7 +323,7 @@ let checkpoint t =
     k = t.inst.Instance.k;
     initial = Array.copy t.inst.Instance.initial;
     pos = t.pos;
-    prefix = Array.sub t.prefix 0 t.pos;
+    prefix = Prefix_log.view t.prefix;
     comm = r.Simulator.cost.Cost.comm;
     mig = r.Simulator.cost.Cost.mig;
     max_load = r.Simulator.max_load;
@@ -412,23 +404,29 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
         make_engine ~strict ~accounting ?sanitize ~epsilon:ckpt.Checkpoint.epsilon
           ~alg:ckpt.Checkpoint.alg ~seed:ckpt.Checkpoint.seed inst online
       in
-      let m = Array.length ckpt.Checkpoint.prefix in
       if Array.length ckpt.Checkpoint.degraded = 0 then begin
-        (* replay through the batched path: byte-identical to per-request
-           ingest by the Online.batch contract, and sharded across domains
-           for algorithms that support it, so long prefixes resume faster *)
-        let chunk = 8192 in
-        let at = ref 0 in
-        while !at < m do
-          let len = Stdlib.min chunk (m - !at) in
-          ignore (ingest_batch t (Array.sub ckpt.Checkpoint.prefix !at len));
-          at := !at + len
+        (* replay through the quiet batched path, decoding the view into
+           one reused chunk: byte-identical to per-request ingest by the
+           Online.batch contract, without a decision record or a clock
+           pair per request (replayed requests leave no metrics anyway) *)
+        let cur = Prefix_log.cursor ckpt.Checkpoint.prefix in
+        let chunk = Array.make 8192 0 in
+        let continue = ref true in
+        while !continue do
+          let got = Prefix_log.decode cur chunk ~limit:(Array.length chunk) in
+          if got = Array.length chunk then ingest_batch_quiet t chunk
+          else begin
+            if got > 0 then ingest_batch_quiet t (Array.sub chunk 0 got);
+            continue := false
+          end
         done
       end
       else begin
         (* span-aware replay: positions the live run served on the frozen
            never-move path are replayed frozen, everything else through
            the solver — the exact call sequence of the original run *)
+        let prefix = Prefix_log.to_array ckpt.Checkpoint.prefix in
+        let m = Array.length prefix in
         let spans = ckpt.Checkpoint.degraded in
         let nspans = Array.length spans / 2 in
         let si = ref 0 in
@@ -444,7 +442,7 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
             incr si
           done;
           cur_frozen := !si < nspans && spans.(2 * !si) <= i;
-          let e = ckpt.Checkpoint.prefix.(i) in
+          let e = prefix.(i) in
           ignore (ingest_step t e play e)
         done
       end;

@@ -143,7 +143,9 @@ val metrics : t -> Metrics.t
 val checkpoint : t -> Checkpoint.t
 (** Snapshot the run: instance parameters, seed, served prefix, cumulative
     costs, current assignment, the algorithm's explicit state when it
-    implements the snapshot hook, and the degraded-span record. *)
+    implements the snapshot hook, and the degraded-span record.  The
+    prefix is an O(1) view of the engine's {!Prefix_log}, so a snapshot
+    costs O(n + requests since the previous one), not O(prefix). *)
 
 val resume :
   ?strict:bool ->

@@ -53,6 +53,11 @@ let read_int_array r =
   let len = read_varint r in
   Array.init len (fun _ -> read_zigzag r)
 
+let skip_varints r count =
+  for _ = 1 to count do
+    ignore (read_varint r)
+  done
+
 let at_end r = r.pos >= String.length r.data
 let reader_pos r = r.pos
 

@@ -21,6 +21,9 @@ val add_string : Buffer.t -> string -> unit
 val add_int_array : Buffer.t -> int array -> unit
 (** Append a varint length followed by each element zigzag-encoded. *)
 
+val unzigzag : int -> int
+(** Inverse of the signed-to-unsigned map [add_zigzag] encodes. *)
+
 type reader
 (** A cursor over an immutable byte string. *)
 
@@ -29,6 +32,13 @@ val read_varint : reader -> int
 val read_zigzag : reader -> int
 val read_string : reader -> string
 val read_int_array : reader -> int array
+
+val skip_varints : reader -> int -> unit
+(** [skip_varints r count] steps the cursor over [count] varints,
+    checking each as {!read_varint} does, without decoding them into an
+    array.  Every varint is at least one byte, so a hostile [count] fails
+    on truncation after at most the remaining input. *)
+
 val at_end : reader -> bool
 
 val reader_pos : reader -> int

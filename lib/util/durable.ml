@@ -35,11 +35,11 @@ let fsync_dir dir =
         try Unix.fsync fd
         with Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.EROFS), _, _) -> ())
 
-let atomic_write ~path data =
+let atomic_write_with ~path write =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc data;
+     write oc;
      flush oc;
      retry_transient (fun () -> Unix.fsync (Unix.descr_of_out_channel oc));
      close_out oc
@@ -49,3 +49,5 @@ let atomic_write ~path data =
      raise e);
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
+
+let atomic_write ~path data = atomic_write_with ~path (fun oc -> output_string oc data)

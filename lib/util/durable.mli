@@ -15,6 +15,11 @@ val atomic_write : path:string -> string -> unit
     Raises [Sys_error] / [Unix.Unix_error] on genuine I/O failure; the
     tmp file is removed on the error path. *)
 
+val atomic_write_with : path:string -> (out_channel -> unit) -> unit
+(** [atomic_write_with ~path write] is {!atomic_write} for a payload
+    that [write] streams to the tmp file's channel, so a large record
+    assembled from pieces needs no contiguous copy. *)
+
 val fsync_dir : string -> unit
 (** [fsync_dir dir] fsyncs the directory [dir] so a preceding rename in
     it survives power loss.  Filesystems that cannot fsync a directory

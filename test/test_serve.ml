@@ -25,6 +25,7 @@ module Trace_codec = Rbgp_workloads.Trace_codec
 module Registry = Rbgp_serve.Registry
 module Engine = Rbgp_serve.Engine
 module Ckpt = Rbgp_serve.Checkpoint
+module Prefix_log = Rbgp_serve.Prefix_log
 module Metrics = Rbgp_serve.Metrics
 module Source = Rbgp_serve.Source
 
@@ -604,8 +605,9 @@ let test_quiet_batch_identity () =
       let ck_loud = Engine.checkpoint loud
       and ck_quiet = Engine.checkpoint quiet in
       Alcotest.(check (array int))
-        (alg ^ ": identical replay prefix") ck_loud.Ckpt.prefix
-        ck_quiet.Ckpt.prefix;
+        (alg ^ ": identical replay prefix")
+        (Prefix_log.to_array ck_loud.Ckpt.prefix)
+        (Prefix_log.to_array ck_quiet.Ckpt.prefix);
       let resumed = Engine.resume ck_quiet in
       check_outcome
         (alg ^ ": quiet checkpoint resumes")
