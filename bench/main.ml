@@ -1043,7 +1043,8 @@ type net_point = {
   np_batch : int;
   np_pipe_rps : float;
   np_socket_rps : float;
-  np_overhead_frac : float;
+  np_overhead_frac : float;  (* median over the paired rounds *)
+  np_pairs : int;
   np_p50_ns : int;  (* per-RPC round trip, client-observed *)
   np_p99_ns : int;
   np_identical : bool;
@@ -1059,8 +1060,9 @@ type net_point = {
    framing, buffering and dispatch but no scheduler handoffs.  Latency
    quantiles are client-observed per-RPC round trips; every tenant's
    final engine checkpoint must be byte-identical to its pipe twin (the
-   isolation contract), and CI gates the socket throughput overhead
-   below 30% of pipe throughput. *)
+   isolation contract), and CI gates the socket throughput overhead —
+   the median over rounds served by both sides in turn — below 30% of
+   pipe throughput. *)
 let net_bench () =
   let n = 1024 and ell = 16 and steps = 100_000 and batch = 4096 in
   let inst = Rbgp_ring.Instance.blocks ~n ~ell in
@@ -1078,9 +1080,7 @@ let net_bench () =
     in
     go 0 []
   in
-  let pipe_run trace =
-    let engine = Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 inst in
-    List.iter (Rbgp_serve.Engine.ingest_batch_quiet engine) (batches_of trace);
+  let checkpoint_of engine =
     assert (Rbgp_serve.Engine.pos engine = steps);
     Rbgp_serve.Checkpoint.to_string (Rbgp_serve.Engine.checkpoint engine)
   in
@@ -1105,12 +1105,21 @@ let net_bench () =
       in
       turn [] per_tenant
     in
-    let pipe_pass () = List.map (fun (_, t) -> pipe_run t) traces in
-    (* One full socket-served pass over fresh engines: a new router,
-       server and connection each time, so repeated passes are
-       independent and deterministic (same trace, same seed → same
-       checkpoint bytes every pass). *)
-    let sock_pass () =
+    (* One paired pass over fresh engines: per tenant a pipe engine
+       (Engine.ingest_batch_quiet driven directly) and a stream on a new
+       router, server and connection, so passes are independent and
+       deterministic.  The two sides take turns on rounds (one batch per
+       tenant), who goes first flips every round, and each round gets one
+       clock pair per side — the block pairing of the faults bench: at
+       turns of a few ms both sides sample the same host speed, which timing
+       whole passes one after the other cannot promise.  The checkpoints
+       behind the identity check are encoded after the pass, off the
+       clock on both sides. *)
+    let paired_pass () =
+      let pipes =
+        Array.init tenants (fun _ ->
+            Rbgp_serve.Engine.create ~alg:"onl-dynamic" ~seed:42 inst)
+      in
       let sock_path = Filename.temp_file "rbgp_bench_net" ".sock" in
       Sys.remove sock_path;
       let router = Rbgp_serve.Tenant.create () in
@@ -1136,59 +1145,81 @@ let net_bench () =
                  seed = 42;
                }))
         traces;
-      let rpc_ns = ref [] in
-      let (), dt =
-        timed (fun () ->
-            List.iter
-              (List.iter (fun (i, b) ->
-                   let t0 = Unix.gettimeofday () in
-                   ignore
-                     (Rbgp_serve.Net.request_quiet cl ~stream:(i + 1) b ~pos:0
-                        ~len:(Array.length b));
-                   let ns =
-                     int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-                   in
-                   rpc_ns := ns :: !rpc_ns))
-              rounds)
+      let rpc_ns = ref [] and pairs = ref [] in
+      let pipe_dt = ref 0.0 and sock_dt = ref 0.0 in
+      let pipe_round round =
+        List.iter
+          (fun (i, b) -> Rbgp_serve.Engine.ingest_batch_quiet pipes.(i) b)
+          round
       in
-      let cks =
+      let sock_round round =
+        List.iter
+          (fun (i, b) ->
+            let t0 = Unix.gettimeofday () in
+            ignore
+              (Rbgp_serve.Net.request_quiet cl ~stream:(i + 1) b ~pos:0
+                 ~len:(Array.length b));
+            let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+            rpc_ns := ns :: !rpc_ns)
+          round
+      in
+      let timed_round side round dt =
+        let (), d = timed (fun () -> side round) in
+        dt := !dt +. d;
+        d
+      in
+      List.iteri
+        (fun k round ->
+          let p, s =
+            if k land 1 = 1 then
+              let s = timed_round sock_round round sock_dt in
+              (timed_round pipe_round round pipe_dt, s)
+            else
+              let p = timed_round pipe_round round pipe_dt in
+              (p, timed_round sock_round round sock_dt)
+          in
+          let full =
+            List.length round = tenants
+            && List.for_all (fun (_, b) -> Array.length b = batch) round
+          in
+          if full && s > 0. then pairs := (1. -. (p /. s)) :: !pairs)
+        rounds;
+      let pipe_cks = Array.to_list (Array.map checkpoint_of pipes) in
+      let sock_cks =
         List.map
           (fun (i, _) ->
             match Rbgp_serve.Tenant.find router (Printf.sprintf "t%d" i) with
             | Some tn -> (
                 match Rbgp_serve.Tenant.engine tn with
-                | Some engine ->
-                    Rbgp_serve.Checkpoint.to_string
-                      (Rbgp_serve.Engine.checkpoint engine)
+                | Some engine -> checkpoint_of engine
                 | None -> "released")
             | None -> "missing")
           traces
       in
       Rbgp_serve.Net.close cl;
-      (cks, !rpc_ns, dt)
+      (pipe_cks, sock_cks, !pipe_dt, !sock_dt, !pairs, !rpc_ns)
     in
-    (* Alternate the two sides and keep each side's fastest pass — the
-       same anti-stall discipline as the faults bench: timing pipe and
-       socket in separate single passes lets one transient machine stall
-       land entirely on one side and fake (or hide) the overhead. *)
-    ignore (pipe_pass ());
-    let net_rounds = 3 in
-    let pipe_cks = ref [] and pipe_dt = ref infinity in
-    let sock_cks = ref [] and sock_dt = ref infinity and rpc_ns = ref [] in
-    for _ = 1 to net_rounds do
-      let cks, dt = timed pipe_pass in
-      pipe_cks := cks;
-      if dt < !pipe_dt then pipe_dt := dt;
-      let cks, rpcs, dt = sock_pass () in
-      sock_cks := cks;
-      if dt < !sock_dt then begin
-        sock_dt := dt;
-        rpc_ns := rpcs
-      end
+    (* the first pass warms up and sets the reference checkpoints *)
+    let reference, _, _, _, _, _ = paired_pass () in
+    let passes = 5 in
+    let identical = ref true in
+    let pipe_dts = Array.make passes 0.0 and sock_dts = Array.make passes 0.0 in
+    let pairs = ref [] and rpc_ns = ref [] in
+    for r = 0 to passes - 1 do
+      let pipe_cks, sock_cks, pdt, sdt, p, rpcs = paired_pass () in
+      if
+        not
+          (List.equal String.equal pipe_cks reference
+          && List.equal String.equal sock_cks reference)
+      then identical := false;
+      pipe_dts.(r) <- pdt;
+      sock_dts.(r) <- sdt;
+      pairs := p @ !pairs;
+      rpc_ns := rpcs @ !rpc_ns
     done;
-    let pipe_cks = !pipe_cks and pipe_dt = !pipe_dt in
-    let sock_cks = !sock_cks and sock_dt = !sock_dt in
-    let identical = List.equal String.equal pipe_cks sock_cks in
+    let identical = !identical in
+    let pipe_dt = Rbgp_util.Stats.median pipe_dts
+    and sock_dt = Rbgp_util.Stats.median sock_dts in
     let total = tenants * steps in
     let pipe_rps = float_of_int total /. pipe_dt
     and sock_rps = float_of_int total /. sock_dt in
@@ -1200,14 +1231,15 @@ let net_bench () =
         lats.(min (Array.length lats - 1)
                 (int_of_float (q *. float_of_int (Array.length lats))))
     in
-    let overhead = (pipe_rps -. sock_rps) /. pipe_rps in
+    let overhead = Rbgp_util.Stats.median (Array.of_list !pairs) in
     Printf.printf
-      "net serve (onl-dynamic quiet, n=%d ell=%d, %d tenant%s, %d reqs): \
-       pipe %.0f req/s, socket %.0f req/s (%.1f%% overhead), rpc p50 %.1f \
-       us p99 %.1f us, checkpoints %s\n"
+      "net serve (onl-dynamic quiet, n=%d ell=%d, %d tenant%s, %d reqs, \
+       median of %d round pairs over %d passes): pipe %.0f req/s, socket \
+       %.0f req/s (%.1f%% overhead), rpc p50 %.1f us p99 %.1f us, \
+       checkpoints %s\n"
       n ell tenants
       (if tenants = 1 then "" else "s")
-      total pipe_rps sock_rps (100. *. overhead)
+      total (List.length !pairs) passes pipe_rps sock_rps (100. *. overhead)
       (float_of_int (quantile 0.5) /. 1e3)
       (float_of_int (quantile 0.99) /. 1e3)
       (if identical then "identical" else "DIVERGED");
@@ -1218,6 +1250,7 @@ let net_bench () =
       np_pipe_rps = pipe_rps;
       np_socket_rps = sock_rps;
       np_overhead_frac = overhead;
+      np_pairs = List.length !pairs;
       np_p50_ns = quantile 0.5;
       np_p99_ns = quantile 0.99;
       np_identical = identical;
@@ -1323,10 +1356,11 @@ let write_bench_json ~components ~experiments ~parallel ~serve ~sweep ~ingest
       out
         "    {\"tenants\": %d, \"requests\": %d, \"batch\": %d, \
          \"pipe_rps\": %s, \"socket_rps\": %s, \"overhead_frac\": %s, \
-         \"rpc_p50_ns\": %d, \"rpc_p99_ns\": %d, \"identical\": %b}%s\n"
+         \"pairs\": %d, \"rpc_p50_ns\": %d, \"rpc_p99_ns\": %d, \
+         \"identical\": %b}%s\n"
         p.np_tenants p.np_requests p.np_batch
         (json_num p.np_pipe_rps) (json_num p.np_socket_rps)
-        (json_num p.np_overhead_frac) p.np_p50_ns p.np_p99_ns p.np_identical
+        (json_num p.np_overhead_frac) p.np_pairs p.np_p50_ns p.np_p99_ns p.np_identical
         (if i < List.length net - 1 then "," else ""))
     net;
   out "  ]\n}\n";

@@ -25,6 +25,7 @@ type t = {
   metrics : Metrics.t;
   prefix : Prefix_log.t;  (* the served requests, encoded for checkpoints *)
   mutable pos : int;
+  mutable stamp : int;  (* clock at the end of the last [ingest_step] *)
   sanitize : bool;
   (* solver-budget degradation: when a request's effective solve time
      exceeds [budget_ns] (> 0 enables), the next [cooloff] requests are
@@ -117,6 +118,7 @@ let make_engine ?(strict = true) ?(accounting = `Auto) ?sanitize ~epsilon ~alg
       | Some v -> Prefix_log.of_view v
       | None -> Prefix_log.create ());
     pos = steps_done;
+    stamp = 0;
     sanitize;
     budget_ns = 0;
     cooloff = 64;
@@ -135,9 +137,11 @@ let create ?strict ?accounting ?sanitize ?(epsilon = 0.5) ~alg ~seed inst =
    them.  [play] takes the stepper and a caller-chosen argument ([e] for
    the per-request paths, the batch index for the prepared path) so the
    per-request callers pass [Simulator.step]/[step_frozen] directly and
-   allocate no thunk (r11 patrols this path). *)
-let ingest_step t e play x =
-  let t0 = now_ns () in
+   allocate no thunk (r11 patrols this path).  [t0] is the request's
+   start stamp; the end stamp is read once, kept in [t.stamp] so that a
+   caller serving a run of requests can pass it on as the next [t0], and
+   the latency is clamped at 0 should the wall clock step back. *)
+let ingest_step t e play x t0 =
   let prev =
     if t.sanitize then begin
       (* capture scalars: the stepper's cost record is mutated in place *)
@@ -155,7 +159,9 @@ let ingest_step t e play x =
       check_step_invariants t ~step:(t.pos - 1) ~comm ~prev_comm ~prev_mig
         ~prev_max r
   | None -> ());
-  let latency_ns = now_ns () - t0 in
+  let t1 = now_ns () in
+  t.stamp <- t1;
+  let latency_ns = if t1 > t0 then t1 - t0 else 0 in
   Metrics.observe t.metrics ~latency_ns ~comm ~moved
     ~max_load:r.Simulator.max_load;
   {
@@ -224,12 +230,12 @@ let check_budget t ~latency_ns ~step =
 let ingest t e =
   if Fault.armed () then Fault.crash_check ~step:t.pos;
   if t.degraded_left > 0 then begin
-    let d = ingest_step t e Simulator.step_frozen e in
+    let d = ingest_step t e Simulator.step_frozen e (now_ns ()) in
     note_frozen t;
     d
   end
   else begin
-    let d = ingest_step t e Simulator.step e in
+    let d = ingest_step t e Simulator.step e (now_ns ()) in
     check_budget t ~latency_ns:d.latency_ns ~step:d.step;
     d
   end
@@ -249,7 +255,10 @@ let ingest_batch t edges =
     let play = Simulator.prepare t.stepper edges in
     (* one play wrapper per batch, indexed by j — not one thunk per request *)
     let play_step _stepper j = play j in
-    let ds = Array.mapi (fun j e -> ingest_step t e play_step j) edges in
+    (* one clock read per request: request j runs from request j-1's end
+       stamp (the batch-entry stamp for j = 0) to its own *)
+    t.stamp <- now_ns ();
+    let ds = Array.mapi (fun j e -> ingest_step t e play_step j t.stamp) edges in
     (* degradation triggers are evaluated at batch boundaries — a prepared
        batch's [play j] must run for every j in order, so the switch to the
        frozen path applies from the next batch on *)
@@ -435,6 +444,7 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
           if !cur_frozen then Simulator.step_frozen stepper edge
           else Simulator.step stepper edge
         in
+        t.stamp <- now_ns ();
         for i = 0 to m - 1 do
           while
             !si < nspans && spans.(2 * !si) + spans.((2 * !si) + 1) <= i
@@ -443,7 +453,7 @@ let resume ?(strict = true) ?(accounting = `Auto) ?sanitize
           done;
           cur_frozen := !si < nspans && spans.(2 * !si) <= i;
           let e = prefix.(i) in
-          ignore (ingest_step t e play e)
+          ignore (ingest_step t e play e t.stamp)
         done
       end;
       verify_against ckpt t ~how:"prefix replay";

@@ -58,7 +58,12 @@ type decision = {
   cum_comm : int;
   cum_mig : int;
   max_load : int;  (** running maximum load *)
-  latency_ns : int;  (** wall-clock ingest latency of this request *)
+  latency_ns : int;
+      (** wall-clock ingest latency of this request, clamped at 0.  On the
+          batched path the clock is read once per request, so the
+          latencies of a batch chain: request [j] runs from request
+          [j-1]'s end stamp (the batch-entry stamp for [j = 0]) to its
+          own, and they add up to the batch's time in the engine. *)
 }
 
 type t
@@ -88,9 +93,9 @@ val ingest_batch : t -> int array -> decision array
     algorithm may pre-solve the whole batch sharded across pool domains
     (see {!Rbgp_ring.Online.t.batch}), while accounting, sanitizer checks,
     the replay prefix and metrics are still advanced request by request in
-    arrival order.  Every decision field except the wall-clock
-    [latency_ns] is byte-identical to calling {!ingest} on each edge in
-    turn, for any batch decomposition and any domain count; checkpoints
+    arrival order, one clock read per request (see [latency_ns]).  Every
+    decision field except the wall-clock [latency_ns] is byte-identical
+    to calling {!ingest} on each edge in turn, for any batch decomposition and any domain count; checkpoints
     taken between batches resume identically.  All edges are validated up
     front; on a strict-mode capacity failure mid-batch the engine must
     not be used further (later requests were already pre-solved inside

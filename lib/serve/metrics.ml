@@ -6,7 +6,7 @@ type t = {
   mutable comm : int;
   mutable mig : int;
   mutable max_load : int;
-  mutable lat_sum_ns : float;
+  mutable lat_sum_ns : int;
   mutable t0 : float;
   mutable degraded : int;
   mutable recovered : int;
@@ -19,7 +19,7 @@ let create () =
     comm = 0;
     mig = 0;
     max_load = 0;
-    lat_sum_ns = 0.0;
+    lat_sum_ns = 0;
     t0 = Unix.gettimeofday ();
     degraded = 0;
     recovered = 0;
@@ -31,7 +31,7 @@ let reset t =
   t.comm <- 0;
   t.mig <- 0;
   t.max_load <- 0;
-  t.lat_sum_ns <- 0.0;
+  t.lat_sum_ns <- 0;
   t.t0 <- Unix.gettimeofday ();
   t.degraded <- 0;
   t.recovered <- 0
@@ -42,14 +42,14 @@ let rec bucket_loop i v = if v <= 1 then i else bucket_loop (i + 1) (v lsr 1)
 let bucket_of ns = if ns <= 1 then 0 else min (nbuckets - 1) (bucket_loop 0 ns)
 
 let observe t ~latency_ns ~comm ~moved ~max_load =
-  let latency_ns = max 0 latency_ns in
+  let latency_ns = Int.max 0 latency_ns in
   let b = bucket_of latency_ns in
   t.buckets.(b) <- t.buckets.(b) + 1;
   t.requests <- t.requests + 1;
   t.comm <- t.comm + comm;
   t.mig <- t.mig + moved;
   if max_load > t.max_load then t.max_load <- max_load;
-  t.lat_sum_ns <- t.lat_sum_ns +. float_of_int latency_ns
+  t.lat_sum_ns <- t.lat_sum_ns + latency_ns
 
 (* Aggregate record for the engine's quiet batch path: [count] requests
    that together took [latency_ns] and charged [comm]/[mig].  Per-request
@@ -57,14 +57,14 @@ let observe t ~latency_ns ~comm ~moved ~max_load =
    the histogram gets [count] entries at the batch's mean latency. *)
 let observe_batch t ~count ~latency_ns ~comm ~mig ~max_load =
   if count > 0 then begin
-    let latency_ns = max 0 latency_ns in
+    let latency_ns = Int.max 0 latency_ns in
     let b = bucket_of (latency_ns / count) in
     t.buckets.(b) <- t.buckets.(b) + count;
     t.requests <- t.requests + count;
     t.comm <- t.comm + comm;
     t.mig <- t.mig + mig;
     if max_load > t.max_load then t.max_load <- max_load;
-    t.lat_sum_ns <- t.lat_sum_ns +. float_of_int latency_ns
+    t.lat_sum_ns <- t.lat_sum_ns + latency_ns
   end
 
 (* Solver-budget degradation accounting: [note_degraded] counts requests
@@ -111,7 +111,7 @@ let snapshot t =
     s_max_load = t.max_load;
     s_degraded = t.degraded;
     s_recovered = t.recovered;
-    s_lat_sum_ns = t.lat_sum_ns;
+    s_lat_sum_ns = float_of_int t.lat_sum_ns;
     s_elapsed_s = elapsed_s t;
     s_buckets = Array.copy t.buckets;
   }
@@ -148,7 +148,8 @@ let snapshot_mean_latency_ns s =
 let quantile t q = snapshot_quantile (snapshot t) q
 
 let mean_latency_ns t =
-  if t.requests = 0 then 0.0 else t.lat_sum_ns /. float_of_int t.requests
+  if t.requests = 0 then 0.0
+  else float_of_int t.lat_sum_ns /. float_of_int t.requests
 
 let json_of_snapshot s =
   Printf.sprintf

@@ -128,24 +128,26 @@ end
 
 (* Per-connection output queue: bytes accepted eagerly, drained by the
    select loop as the peer allows.  Same grow/compact discipline as the
-   protocol dechunker. *)
+   protocol dechunker.  A frame is written straight into the queue —
+   header in place, payload blitted from the caller's reused buffer — so
+   a reply costs no intermediate string. *)
 module Outbuf = struct
   type t = { mutable buf : bytes; mutable start : int; mutable len : int }
 
   let create () = { buf = Bytes.create 4096; start = 0; len = 0 }
   let length t = t.len
 
-  let add_string t s =
-    let slen = String.length s in
+  (* make room for [n] more bytes at [start + len] *)
+  let reserve t n =
     let cap = Bytes.length t.buf in
-    if t.start + t.len + slen > cap then begin
-      if t.len + slen <= cap then begin
+    if t.start + t.len + n > cap then begin
+      if t.len + n <= cap then begin
         Bytes.blit t.buf t.start t.buf 0 t.len;
         t.start <- 0
       end
       else begin
         let cap' =
-          let rec grow c = if c >= t.len + slen then c else grow (2 * c) in
+          let rec grow c = if c >= t.len + n then c else grow (2 * c) in
           grow (2 * cap)
         in
         let nb = Bytes.create cap' in
@@ -153,9 +155,20 @@ module Outbuf = struct
         t.buf <- nb;
         t.start <- 0
       end
-    end;
+    end
+
+  let add_string t s =
+    let slen = String.length s in
+    reserve t slen;
     Bytes.blit_string s 0 t.buf (t.start + t.len) slen;
     t.len <- t.len + slen
+
+  let add_frame t ~stream op payload =
+    let plen = Buffer.length payload in
+    reserve t (Proto.max_header + plen);
+    let off = Proto.put_header t.buf (t.start + t.len) ~stream op ~len:plen in
+    Buffer.blit payload 0 t.buf off plen;
+    t.len <- off + plen - t.start
 
   let consume t n =
     t.start <- t.start + n;
@@ -170,6 +183,7 @@ type conn = {
   kind : kind;
   dec : Proto.dechunker;
   http_buf : Buffer.t;
+  reply : Buffer.t;  (** payload scratch, reused for every frame sent *)
   out : Outbuf.t;
   streams : (int, Tenant.tenant) Hashtbl.t;
   mutable greeted : bool;
@@ -228,18 +242,18 @@ let draining s = s.draining_
 let connections s = List.length s.conns
 let request_drain s = s.drain_req <- true
 
-let send_frame conn ~stream op payload =
-  Outbuf.add_string conn.out (Proto.frame_to_string ~stream op payload)
+(* Every frame a connection sends is encoded into [conn.reply] and then
+   framed into its output queue: [payload] hands out the emptied
+   scratch, [send] queues what was written to it. *)
+let payload conn =
+  Buffer.clear conn.reply;
+  conn.reply
+
+let send conn ~stream op = Outbuf.add_frame conn.out ~stream op conn.reply
 
 let send_error conn ~stream ~code msg =
-  let b = Buffer.create (String.length msg + 8) in
-  Proto.add_error b ~code msg;
-  send_frame conn ~stream Proto.Error_frame (Buffer.contents b)
-
-let hello_payload () =
-  let b = Buffer.create 8 in
-  Proto.add_hello b;
-  Buffer.contents b
+  Proto.add_error (payload conn) ~code msg;
+  send conn ~stream Proto.Error_frame
 
 (* Engine exceptions a supervised server absorbs by killing the tenant:
    the same named set the CLI supervisor restarts on.  Anything else is
@@ -253,8 +267,7 @@ let handle_req server conn (f : Proto.frame) tn quiet =
       (match Tenant.engine tn with
       | Some e ->
           let r = Engine.result e in
-          let b = Buffer.create 24 in
-          Proto.add_ack b
+          Proto.add_ack (payload conn)
             {
               Proto.count = Array.length edges;
               pos = Engine.pos e;
@@ -263,16 +276,15 @@ let handle_req server conn (f : Proto.frame) tn quiet =
               ack_max_load = r.Rbgp_ring.Simulator.max_load;
               violations = r.Rbgp_ring.Simulator.capacity_violations;
             };
-          send_frame conn ~stream:f.stream Proto.Ack (Buffer.contents b)
+          send conn ~stream:f.stream Proto.Ack
       | None -> failwith "tenant engine vanished mid-request")
     end
     else begin
       let edges = Proto.read_req f.payload in
       let start_pos = Tenant.pos tn in
       let ds = Tenant.serve router tn edges in
-      let b = Buffer.create ((Array.length ds * 12) + 16) in
-      Proto.add_decisions b ~start_pos ds;
-      send_frame conn ~stream:f.stream Proto.Decisions (Buffer.contents b)
+      Proto.add_decisions (payload conn) ~start_pos ds;
+      send conn ~stream:f.stream Proto.Decisions
     end
   with
   | () -> ()
@@ -295,7 +307,8 @@ let handle_frame server conn (f : Proto.frame) =
       end
       else begin
         conn.greeted <- true;
-        send_frame conn ~stream:0 Proto.Hello (hello_payload ())
+        Proto.add_hello (payload conn);
+        send conn ~stream:0 Proto.Hello
       end
   | _ when not conn.greeted ->
       send_error conn ~stream:0 ~code:Proto.err_proto "hello first";
@@ -311,9 +324,8 @@ let handle_frame server conn (f : Proto.frame) =
         match Tenant.open_tenant server.router o with
         | Ok (tn, pos) ->
             Hashtbl.replace conn.streams f.stream tn;
-            let b = Buffer.create 8 in
-            Proto.add_opened b ~pos;
-            send_frame conn ~stream:f.stream Proto.Opened (Buffer.contents b)
+            Proto.add_opened (payload conn) ~pos;
+            send conn ~stream:f.stream Proto.Opened
         | Error (code, msg) -> send_error conn ~stream:f.stream ~code msg)
   | Proto.Req | Proto.Req_quiet | Proto.Ckpt | Proto.Close_stream -> (
       match Hashtbl.find_opt conn.streams f.stream with
@@ -326,17 +338,13 @@ let handle_frame server conn (f : Proto.frame) =
           | Proto.Req_quiet -> handle_req server conn f tn true
           | Proto.Ckpt ->
               let pos = Tenant.checkpoint_now server.router tn in
-              let b = Buffer.create 8 in
-              Proto.add_ckpt_ok b ~pos;
-              send_frame conn ~stream:f.stream Proto.Ckpt_ok
-                (Buffer.contents b)
+              Proto.add_ckpt_ok (payload conn) ~pos;
+              send conn ~stream:f.stream Proto.Ckpt_ok
           | _ ->
-              let payload = Tenant.close server.router tn in
+              let totals = Tenant.close server.router tn in
               Hashtbl.remove conn.streams f.stream;
-              let b = Buffer.create 16 in
-              Proto.add_closed b payload;
-              send_frame conn ~stream:f.stream Proto.Closed
-                (Buffer.contents b)))
+              Proto.add_closed (payload conn) totals;
+              send conn ~stream:f.stream Proto.Closed))
   | Proto.Opened | Proto.Decisions | Proto.Ack | Proto.Ckpt_ok
   | Proto.Closed | Proto.Error_frame | Proto.Draining ->
       send_error conn ~stream:f.stream ~code:Proto.err_proto
@@ -425,7 +433,9 @@ let begin_drain s =
     List.iter
       (fun conn ->
         (match conn.kind with
-        | Rpc -> send_frame conn ~stream:0 Proto.Draining ""
+        | Rpc ->
+            ignore (payload conn);
+            send conn ~stream:0 Proto.Draining
         | Http -> ());
         conn.closing <- true)
       s.conns
@@ -437,6 +447,7 @@ let make_conn kind fd =
     kind;
     dec = Proto.dechunker ();
     http_buf = Buffer.create 256;
+    reply = Buffer.create 4096;
     out = Outbuf.create ();
     streams = Hashtbl.create 4;
     greeted = (match kind with Http -> true | Rpc -> false);
@@ -515,6 +526,8 @@ type client = {
   cfd : Unix.file_descr;
   cdec : Proto.dechunker;
   cbuf : bytes;
+  cpay : Buffer.t;  (** request payload scratch, reused for every frame *)
+  cout : Outbuf.t;  (** the frame being written *)
   pump : (unit -> unit) option;
   mutable srv_draining : bool;
   mutable cclosed : bool;
@@ -532,20 +545,31 @@ let client_wait_writable c =
   | Some pump -> pump ()
   | None -> ignore (Sockio.select [] [ c.cfd ] 1.0)
 
-let send_all c s =
-  let b = Bytes.unsafe_of_string s in
-  let total = String.length s in
-  let rec go off =
-    if off < total then begin
-      match Sockio.write c.cfd b off (total - off) with
-      | `Did n -> go (off + n)
+(* Client frames mirror the server's: [client_payload] hands out the
+   emptied scratch, [client_send] frames it and writes the whole frame
+   before returning. *)
+let client_payload c =
+  Buffer.clear c.cpay;
+  c.cpay
+
+let client_send c ~stream op =
+  let out = c.cout in
+  (* drop what a write cut short by an exception left behind *)
+  Outbuf.consume out (Outbuf.length out);
+  Outbuf.add_frame out ~stream op c.cpay;
+  let rec go () =
+    if Outbuf.length out > 0 then begin
+      match Sockio.write c.cfd out.Outbuf.buf out.Outbuf.start out.Outbuf.len with
+      | `Did n ->
+          Outbuf.consume out n;
+          go ()
       | `Would_block ->
           client_wait_writable c;
-          go off
+          go ()
       | `Closed -> raise (Disconnected "peer closed while writing")
     end
   in
-  go 0
+  go ()
 
 let rec recv_frame c =
   match Proto.next c.cdec with
@@ -587,12 +611,15 @@ let connect ?pump addr =
       cfd = fd;
       cdec = Proto.dechunker ();
       cbuf = Bytes.create 65536;
+      cpay = Buffer.create 4096;
+      cout = Outbuf.create ();
       pump;
       srv_draining = false;
       cclosed = false;
     }
   in
-  send_all c (Proto.frame_to_string ~stream:0 Proto.Hello (hello_payload ()));
+  Proto.add_hello (client_payload c);
+  client_send c ~stream:0 Proto.Hello;
   let f = await c ~stream:0 Proto.Hello in
   let v = Proto.read_hello f.Proto.payload in
   if v <> Proto.version then
@@ -609,39 +636,39 @@ let close c =
 let server_draining c = c.srv_draining
 
 let open_stream c ~stream (o : Proto.open_payload) =
-  let b = Buffer.create 64 in
-  Proto.add_open b o;
-  send_all c (Proto.frame_to_string ~stream Proto.Open_stream (Buffer.contents b));
+  Proto.add_open (client_payload c) o;
+  client_send c ~stream Proto.Open_stream;
   let f = await c ~stream Proto.Opened in
   Proto.read_opened f.Proto.payload
 
 let request c ~stream edges ~pos ~len =
-  let b = Buffer.create (len * 3) in
-  Proto.add_req b edges ~pos ~len;
-  send_all c (Proto.frame_to_string ~stream Proto.Req (Buffer.contents b));
+  Proto.add_req (client_payload c) edges ~pos ~len;
+  client_send c ~stream Proto.Req;
   let f = await c ~stream Proto.Decisions in
   let _start, ds = Proto.read_decisions f.Proto.payload in
   ds
 
 let request_quiet c ~stream edges ~pos ~len =
-  let b = Buffer.create (len * 3) in
-  Proto.add_req b edges ~pos ~len;
-  send_all c (Proto.frame_to_string ~stream Proto.Req_quiet (Buffer.contents b));
+  Proto.add_req (client_payload c) edges ~pos ~len;
+  client_send c ~stream Proto.Req_quiet;
   let f = await c ~stream Proto.Ack in
   Proto.read_ack f.Proto.payload
 
 let checkpoint c ~stream =
-  send_all c (Proto.frame_to_string ~stream Proto.Ckpt "");
+  ignore (client_payload c);
+  client_send c ~stream Proto.Ckpt;
   let f = await c ~stream Proto.Ckpt_ok in
   Proto.read_ckpt_ok f.Proto.payload
 
 let close_stream c ~stream =
-  send_all c (Proto.frame_to_string ~stream Proto.Close_stream "");
+  ignore (client_payload c);
+  client_send c ~stream Proto.Close_stream;
   let f = await c ~stream Proto.Closed in
   Proto.read_closed f.Proto.payload
 
 let shutdown_server c =
-  send_all c (Proto.frame_to_string ~stream:0 Proto.Shutdown "");
+  ignore (client_payload c);
+  client_send c ~stream:0 Proto.Shutdown;
   let rec drainloop () =
     match recv_frame c with
     | _ -> drainloop ()

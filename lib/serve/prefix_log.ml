@@ -100,17 +100,6 @@ let grow t =
   Bytes.blit t.buf 0 bigger 0 t.blen;
   t.buf <- bigger
 
-(* [Binc.add_varint]'s byte order, written in place; returns the new end *)
-let rec put_varint b l z =
-  if z < 0x80 then begin
-    Bytes.set_uint8 b l z;
-    l + 1
-  end
-  else begin
-    Bytes.set_uint8 b l (0x80 lor (z land 0x7f));
-    put_varint b (l + 1) (z lsr 7)
-  end
-
 (* One or two bytes cover every edge of a ring with n <= 8192. *)
 let push t e =
   (* [Binc.zigzag], spelled out to keep the hot path call-free *)
@@ -127,7 +116,7 @@ let push t e =
   end
   else begin
     if z < 0 then invalid_arg "Prefix_log.push: value out of range";
-    t.blen <- put_varint b l z
+    t.blen <- Binc.put_varint b l z
   end;
   t.n <- t.n + 1
 

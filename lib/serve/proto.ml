@@ -77,19 +77,30 @@ let err_draining = 5
 
 type frame = { stream : int; op : op; payload : string }
 
-let add_frame buf ~stream op payload =
-  let len = String.length payload in
+let check_payload_len len =
   if len > max_payload then
-    raise (Protocol_error (Printf.sprintf "payload %d over limit" len));
-  Rbgp_util.Binc.add_varint buf stream;
-  Rbgp_util.Binc.add_varint buf (op_to_int op);
-  Rbgp_util.Binc.add_varint buf len;
-  Buffer.add_string buf payload
+    raise (Protocol_error (Printf.sprintf "payload %d over limit" len))
+
+let max_header = 3 * 9
+
+let put_header b off ~stream op ~len =
+  check_payload_len len;
+  let off = Rbgp_util.Binc.put_varint b off stream in
+  let off = Rbgp_util.Binc.put_varint b off (op_to_int op) in
+  Rbgp_util.Binc.put_varint b off len
+
+let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
 
 let frame_to_string ~stream op payload =
-  let buf = Buffer.create (String.length payload + 12) in
-  add_frame buf ~stream op payload;
-  Buffer.contents buf
+  let len = String.length payload in
+  check_payload_len len;
+  let hlen =
+    varint_size stream + varint_size (op_to_int op) + varint_size len
+  in
+  let b = Bytes.create (hlen + len) in
+  let off = put_header b 0 ~stream op ~len in
+  Bytes.blit_string payload 0 b off len;
+  Bytes.unsafe_to_string b
 
 (* The dechunker keeps undelivered bytes in [buf.(start .. start+len)];
    [feed] appends (compacting or growing first) and [next] parses frames
@@ -97,9 +108,14 @@ let frame_to_string ~stream op payload =
    buffered bytes is a torn frame: [next] returns [None] and leaves the
    cursor untouched, exactly the parking discipline of the mmap/channel
    trace readers. *)
-type dechunker = { mutable buf : bytes; mutable start : int; mutable len : int }
+type dechunker = {
+  mutable buf : bytes;
+  mutable start : int;
+  mutable len : int;
+  mutable vlen : int;  (* bytes of the varint [varint_at] last parsed *)
+}
 
-let dechunker () = { buf = Bytes.create 4096; start = 0; len = 0 }
+let dechunker () = { buf = Bytes.create 4096; start = 0; len = 0; vlen = 0 }
 
 let feed d src off len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
@@ -129,49 +145,57 @@ let feed_string d s =
 
 let pending_bytes d = d.len
 
-(* Incremental LEB128 parse at [pos] relative to the undelivered window:
-   [`Got (value, bytes_consumed)] or [`Torn] when the varint runs past
-   the buffered bytes.  Over 10 bytes can never complete into a 63-bit
-   varint, so that raises rather than parks. *)
-let parse_varint d pos =
-  let rec go i shift acc =
-    if i >= 10 then raise (Protocol_error "varint over 63 bits")
-    else if pos + i >= d.len then `Torn
-    else begin
-      let b = Char.code (Bytes.get d.buf (d.start + pos + i)) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then `Got (acc, i + 1) else go (i + 1) (shift + 7) acc
+(* Incremental LEB128 parse at [pos + i] relative to the undelivered
+   window (call with [i = shift = acc = 0]): returns the value and leaves
+   its byte count in [d.vlen], or leaves [d.vlen = 0] when the varint runs
+   past the buffered bytes.  Over 10 bytes can never complete into a
+   63-bit varint, so that raises rather than parks.  Top-level and
+   tail-recursive, so a header parse allocates nothing. *)
+let rec varint_at d pos i shift acc =
+  if i >= 10 then raise (Protocol_error "varint over 63 bits")
+  else if pos + i >= d.len then begin
+    d.vlen <- 0;
+    0
+  end
+  else begin
+    let b = Bytes.get_uint8 d.buf (d.start + pos + i) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then begin
+      d.vlen <- i + 1;
+      acc
     end
-  in
-  go 0 0 0
+    else varint_at d pos (i + 1) (shift + 7) acc
+  end
 
 let next d =
-  match parse_varint d 0 with
-  | `Torn -> None
-  | `Got (stream, c1) -> (
-      match parse_varint d c1 with
-      | `Torn -> None
-      | `Got (opn, c2) -> (
-          let op = op_of_int opn in
-          match parse_varint d (c1 + c2) with
-          | `Torn -> None
-          | `Got (plen, c3) ->
-              if plen < 0 || stream < 0 then
-                raise (Protocol_error "negative header field");
-              if plen > max_payload then
-                raise
-                  (Protocol_error (Printf.sprintf "payload %d over limit" plen));
-              let hdr = c1 + c2 + c3 in
-              if d.len < hdr + plen then None
-              else begin
-                let payload =
-                  Bytes.sub_string d.buf (d.start + hdr) plen
-                in
-                d.start <- d.start + hdr + plen;
-                d.len <- d.len - hdr - plen;
-                if d.len = 0 then d.start <- 0;
-                Some { stream; op; payload }
-              end))
+  let stream = varint_at d 0 0 0 0 in
+  let c1 = d.vlen in
+  if c1 = 0 then None
+  else begin
+    let opn = varint_at d c1 0 0 0 in
+    let c2 = d.vlen in
+    if c2 = 0 then None
+    else begin
+      let op = op_of_int opn in
+      let plen = varint_at d (c1 + c2) 0 0 0 in
+      let c3 = d.vlen in
+      if c3 = 0 then None
+      else begin
+        if plen < 0 || stream < 0 then
+          raise (Protocol_error "negative header field");
+        check_payload_len plen;
+        let hdr = c1 + c2 + c3 in
+        if d.len < hdr + plen then None
+        else begin
+          let payload = Bytes.sub_string d.buf (d.start + hdr) plen in
+          d.start <- d.start + hdr + plen;
+          d.len <- d.len - hdr - plen;
+          if d.len = 0 then d.start <- 0;
+          Some { stream; op; payload }
+        end
+      end
+    end
+  end
 
 (* Payload codecs.  Decoders wrap Binc's [Invalid_argument] (truncated
    input) into [Protocol_error] so connection handlers distinguish a bad
@@ -179,6 +203,36 @@ let next d =
    checkpoint decoding does. *)
 
 let reader_of payload = Rbgp_util.Binc.reader payload
+
+(* One- and two-byte varints (every value below 2^14) for the Req and
+   Decisions payloads, inlined at each call site; longer ones and every
+   error go through Binc's loops, so the bytes and the error messages are
+   Binc's.  These live here rather than in Binc because libraries are
+   compiled with -opaque, which rules out inlining across modules. *)
+let[@inline] add_varint buf v =
+  if v land lnot 0x7f = 0 then Buffer.add_uint8 buf v
+  else if v land lnot 0x3fff = 0 then
+    Buffer.add_uint16_le buf (0x80 lor (v land 0x7f) lor ((v lsr 7) lsl 8))
+  else Rbgp_util.Binc.add_varint buf v
+
+let[@inline] read_varint (r : Rbgp_util.Binc.reader) =
+  let d = r.data and p = r.pos in
+  if p + 1 < String.length d then begin
+    let b0 = String.get_uint8 d p in
+    if b0 < 0x80 then begin
+      r.pos <- p + 1;
+      b0
+    end
+    else begin
+      let b1 = String.get_uint8 d (p + 1) in
+      if b1 < 0x80 then begin
+        r.pos <- p + 2;
+        (b0 land 0x7f) lor (b1 lsl 7)
+      end
+      else Rbgp_util.Binc.read_varint r
+    end
+  end
+  else Rbgp_util.Binc.read_varint r
 
 let finish r what =
   if not (Rbgp_util.Binc.at_end r) then
@@ -250,25 +304,29 @@ let add_req buf edges ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length edges then
     invalid_arg "Proto.add_req";
   for i = pos to pos + len - 1 do
-    Rbgp_util.Binc.add_varint buf edges.(i)
+    add_varint buf edges.(i)
   done
 
+(* Closure-free: the count of bytes below 0x80 is the count of varints
+   that end in the payload, so the array is sized in one scan and filled
+   by the cursor; bytes left after the last terminator form a torn or
+   over-long varint, and reading it raises the reader's own error. *)
 let read_req payload =
-  decode "req"
-    (fun r ->
-      let cap = ref (Array.make 64 0) in
-      let n = ref 0 in
-      while not (Rbgp_util.Binc.at_end r) do
-        if !n = Array.length !cap then begin
-          let b = Array.make (2 * !n) 0 in
-          Array.blit !cap 0 b 0 !n;
-          cap := b
-        end;
-        !cap.(!n) <- Rbgp_util.Binc.read_varint r;
-        incr n
-      done;
-      Array.sub !cap 0 !n)
-    payload
+  let n = ref 0 in
+  for i = 0 to String.length payload - 1 do
+    if String.get_uint8 payload i < 0x80 then incr n
+  done;
+  let edges = Array.make !n 0 in
+  let r = reader_of payload in
+  match
+    for i = 0 to !n - 1 do
+      edges.(i) <- read_varint r
+    done;
+    if not (Rbgp_util.Binc.at_end r) then ignore (read_varint r)
+  with
+  | () -> edges
+  | exception Invalid_argument m ->
+      raise (Protocol_error (Printf.sprintf "req: %s" m))
 
 let add_opened buf ~pos = Rbgp_util.Binc.add_varint buf pos
 
@@ -281,49 +339,72 @@ let read_opened payload =
     payload
 
 let add_decisions buf ~start_pos (ds : Engine.decision array) =
-  Rbgp_util.Binc.add_varint buf start_pos;
-  Rbgp_util.Binc.add_varint buf (Array.length ds);
-  Array.iter
-    (fun (d : Engine.decision) ->
-      Rbgp_util.Binc.add_varint buf d.edge;
-      Rbgp_util.Binc.add_varint buf d.comm;
-      Rbgp_util.Binc.add_varint buf d.moved;
-      Rbgp_util.Binc.add_varint buf d.cum_comm;
-      Rbgp_util.Binc.add_varint buf d.cum_mig;
-      Rbgp_util.Binc.add_varint buf d.max_load;
-      Rbgp_util.Binc.add_varint buf d.latency_ns)
-    ds
+  add_varint buf start_pos;
+  add_varint buf (Array.length ds);
+  for i = 0 to Array.length ds - 1 do
+    let d = ds.(i) in
+    add_varint buf d.edge;
+    add_varint buf d.comm;
+    add_varint buf d.moved;
+    add_varint buf d.cum_comm;
+    add_varint buf d.cum_mig;
+    add_varint buf d.max_load;
+    add_varint buf d.latency_ns
+  done
+
+(* Placeholder filling the array until the cursor loop overwrites it. *)
+let no_decision =
+  {
+    Engine.step = 0;
+    edge = 0;
+    comm = 0;
+    moved = 0;
+    cum_comm = 0;
+    cum_mig = 0;
+    max_load = 0;
+    latency_ns = 0;
+  }
 
 let read_decisions payload =
-  decode "decisions"
-    (fun r ->
-      let start_pos = Rbgp_util.Binc.read_varint r in
-      let count = Rbgp_util.Binc.read_varint r in
-      if count > max_payload then
-        raise (Protocol_error "decisions: count over limit");
-      let ds =
-        Array.init count (fun i ->
-            let edge = Rbgp_util.Binc.read_varint r in
-            let comm = Rbgp_util.Binc.read_varint r in
-            let moved = Rbgp_util.Binc.read_varint r in
-            let cum_comm = Rbgp_util.Binc.read_varint r in
-            let cum_mig = Rbgp_util.Binc.read_varint r in
-            let max_load = Rbgp_util.Binc.read_varint r in
-            let latency_ns = Rbgp_util.Binc.read_varint r in
-            {
-              Engine.step = start_pos + i;
-              edge;
-              comm;
-              moved;
-              cum_comm;
-              cum_mig;
-              max_load;
-              latency_ns;
-            })
-      in
-      finish r "decisions";
-      (start_pos, ds))
-    payload
+  let r = reader_of payload in
+  match
+    let start_pos = read_varint r in
+    let count = read_varint r in
+    (* every decision is seven varints of at least one byte each, so the
+       payload bounds the count before anything is allocated for it *)
+    let left = String.length payload - Rbgp_util.Binc.reader_pos r in
+    if count < 0 || count > left / 7 then
+      raise
+        (Protocol_error
+           (Printf.sprintf "decisions: count %d over a %d-byte payload" count
+              left));
+    let ds = Array.make count no_decision in
+    for i = 0 to count - 1 do
+      let edge = read_varint r in
+      let comm = read_varint r in
+      let moved = read_varint r in
+      let cum_comm = read_varint r in
+      let cum_mig = read_varint r in
+      let max_load = read_varint r in
+      let latency_ns = read_varint r in
+      ds.(i) <-
+        {
+          Engine.step = start_pos + i;
+          edge;
+          comm;
+          moved;
+          cum_comm;
+          cum_mig;
+          max_load;
+          latency_ns;
+        }
+    done;
+    finish r "decisions";
+    (start_pos, ds)
+  with
+  | v -> v
+  | exception Invalid_argument m ->
+      raise (Protocol_error (Printf.sprintf "decisions: %s" m))
 
 type ack_payload = {
   count : int;

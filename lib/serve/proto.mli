@@ -74,10 +74,19 @@ val err_draining : int  (** 5 — server is draining; no new work *)
 
 type frame = { stream : int; op : op; payload : string }
 
-val add_frame : Buffer.t -> stream:int -> op -> string -> unit
-(** Append one encoded frame. *)
-
 val frame_to_string : stream:int -> op -> string -> string
+(** One encoded frame.  Raises {!Protocol_error} when the payload is
+    over {!max_payload}. *)
+
+val max_header : int
+(** Upper bound on an encoded frame header (three varints). *)
+
+val put_header : bytes -> int -> stream:int -> op -> len:int -> int
+(** [put_header b off ~stream op ~len] writes the header of a frame with
+    a [len]-byte payload at [off] and returns the offset where the
+    payload goes — the bytes {!frame_to_string} puts before it.  The
+    caller leaves {!max_header} bytes of room.  Raises {!Protocol_error}
+    when [len] is over {!max_payload}. *)
 
 (** {2 Incremental decoding: the dechunker} *)
 
@@ -137,7 +146,8 @@ val add_decisions : Buffer.t -> start_pos:int -> Engine.decision array -> unit
 val read_decisions : string -> int * Engine.decision array
 (** Steps are reconstructed from the carried start position, so the
     per-decision wire cost is edge/comm/moved/cumulative-totals/latency
-    varints only. *)
+    varints only.  A count the payload cannot hold (seven varints of at
+    least one byte per decision) raises before the array is allocated. *)
 
 type ack_payload = {
   count : int;

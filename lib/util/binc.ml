@@ -7,6 +7,20 @@ let add_varint buf v =
   done;
   Buffer.add_char buf (Char.chr !v)
 
+let rec put_varint_loop b off v =
+  if v < 0x80 then begin
+    Bytes.set_uint8 b off v;
+    off + 1
+  end
+  else begin
+    Bytes.set_uint8 b off (0x80 lor (v land 0x7f));
+    put_varint_loop b (off + 1) (v lsr 7)
+  end
+
+let put_varint b off v =
+  if v < 0 then invalid_arg "Binc.put_varint: negative";
+  put_varint_loop b off v
+
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
 
@@ -51,6 +65,10 @@ let read_string r =
 
 let read_int_array r =
   let len = read_varint r in
+  (* every element takes at least one byte: a length the input cannot
+     hold is truncation, found before the array is allocated *)
+  if len < 0 then invalid_arg "Binc.read_int_array: negative length";
+  if len > String.length r.data - r.pos then truncated "read_int_array" r.pos;
   Array.init len (fun _ -> read_zigzag r)
 
 let skip_varints r count =

@@ -12,6 +12,13 @@
 val add_varint : Buffer.t -> int -> unit
 (** Append an unsigned LEB128 varint.  Requires the value [>= 0]. *)
 
+val put_varint : bytes -> int -> int -> int
+(** [put_varint b off v] writes [v] as {!add_varint} would append it,
+    starting at byte [off] of [b], and returns the offset just past it.
+    The caller guarantees room (at most 9 bytes for a non-negative int);
+    raises [Invalid_argument] on a negative value or when [b] is too
+    short. *)
+
 val add_zigzag : Buffer.t -> int -> unit
 (** Append a signed integer, zigzag-mapped then LEB128-encoded. *)
 
@@ -24,14 +31,20 @@ val add_int_array : Buffer.t -> int array -> unit
 val unzigzag : int -> int
 (** Inverse of the signed-to-unsigned map [add_zigzag] encodes. *)
 
-type reader
-(** A cursor over an immutable byte string. *)
+type reader = { data : string; mutable pos : int }
+(** A cursor over an immutable byte string: the next byte read is
+    [data.[pos]].  The fields are exposed so that a decoder in another
+    module can inline a fast path for short varints and fall back to
+    {!read_varint} (builds compile libraries with [-opaque], so nothing
+    here is inlined across modules). *)
 
 val reader : ?pos:int -> string -> reader
 val read_varint : reader -> int
 val read_zigzag : reader -> int
 val read_string : reader -> string
 val read_int_array : reader -> int array
+(** A length longer than the bytes left (every element takes at least
+    one) raises before the array is allocated. *)
 
 val skip_varints : reader -> int -> unit
 (** [skip_varints r count] steps the cursor over [count] varints,

@@ -498,6 +498,36 @@ let test_malformed_prefix_rejected () =
          Binc.add_varint buf 50;
          Buffer.add_string buf (String.make 12 '\xff')))
 
+(* A v1 record has no CRC, so a hostile array length reaches the reader:
+   32 bytes claiming 2^20 [initial] entries must fail as a typed
+   checkpoint error without an array sized by the claim. *)
+let test_hostile_array_length () =
+  let b = Buffer.create 32 in
+  Buffer.add_string b "RBGC";
+  Binc.add_varint b 1;
+  Binc.add_string b "never-move";
+  Binc.add_string b (Printf.sprintf "%h" 0.5);
+  Binc.add_zigzag b 1;
+  List.iter (Binc.add_varint b) [ 64; 4; 16; 1 lsl 20 ];
+  Buffer.add_string b (String.make (32 - Buffer.length b) '\x02');
+  let data = Buffer.contents b in
+  Alcotest.(check int) "record size" 32 (String.length data);
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  (match Ckpt.of_string data with
+  | _ -> Alcotest.fail "hostile length accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "typed error: %s" msg)
+        true
+        (String.starts_with ~prefix:"Checkpoint: " msg));
+  let used = words () -. before in
+  if used > 4096. then
+    Alcotest.failf "rejecting the record allocated %.0f words" used
+
 let test_injected_tear_and_flip () =
   with_tempdir (fun dir ->
       let path = Filename.concat dir "run.ckpt" in
@@ -609,6 +639,8 @@ let () =
           Alcotest.test_case "resume replays a multi-block prefix" `Quick
             test_resume_replays_blocks;
           prop_prefix_log_roundtrip;
+          Alcotest.test_case "hostile array length rejected" `Quick
+            test_hostile_array_length;
           Alcotest.test_case "malformed prefixes rejected" `Quick
             test_malformed_prefix_rejected;
           Alcotest.test_case "rolling generations + fallback" `Quick

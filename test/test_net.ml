@@ -64,11 +64,10 @@ let frame_key (f : Proto.frame) =
     f.Proto.payload
 
 let encode_frames frames =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (stream, op, payload) -> Proto.add_frame buf ~stream op payload)
-    frames;
-  Buffer.contents buf
+  String.concat ""
+    (List.map
+       (fun (stream, op, payload) -> Proto.frame_to_string ~stream op payload)
+       frames)
 
 let drain_frames d =
   let rec go acc =
@@ -156,6 +155,318 @@ let test_dechunker_rejects_garbage () =
     (Proto.Protocol_error "varint over 63 bits") (fun () ->
       Proto.feed_string d (String.make 11 '\xff');
       ignore (Proto.next d))
+
+(* --- payload codecs against the Binc-loop oracle ----------------------- *)
+
+(* The Req/Decisions payload codecs and the frame encoder as they were
+   written over Binc's loops, before the inlined fast paths and the
+   in-place header: the oracle for the bytes on the wire, for the
+   decodes and for the inputs that must be rejected. *)
+module Oracle = struct
+  module Binc = Rbgp_util.Binc
+
+  let add_frame buf ~stream op payload =
+    let len = String.length payload in
+    if len > Proto.max_payload then
+      raise (Proto.Protocol_error (Printf.sprintf "payload %d over limit" len));
+    Binc.add_varint buf stream;
+    Binc.add_varint buf (Proto.op_to_int op);
+    Binc.add_varint buf len;
+    Buffer.add_string buf payload
+
+  let frame_to_string ~stream op payload =
+    let buf = Buffer.create (String.length payload + 12) in
+    add_frame buf ~stream op payload;
+    Buffer.contents buf
+
+  let finish r what =
+    if not (Binc.at_end r) then
+      raise (Proto.Protocol_error (Printf.sprintf "%s: trailing bytes" what))
+
+  let decode what f payload =
+    match f (Binc.reader payload) with
+    | v -> v
+    | exception Invalid_argument m ->
+        raise (Proto.Protocol_error (Printf.sprintf "%s: %s" what m))
+
+  let add_req buf edges ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > Array.length edges then
+      invalid_arg "Proto.add_req";
+    for i = pos to pos + len - 1 do
+      Binc.add_varint buf edges.(i)
+    done
+
+  let read_req payload =
+    decode "req"
+      (fun r ->
+        let cap = ref (Array.make 64 0) in
+        let n = ref 0 in
+        while not (Binc.at_end r) do
+          if !n = Array.length !cap then begin
+            let b = Array.make (2 * !n) 0 in
+            Array.blit !cap 0 b 0 !n;
+            cap := b
+          end;
+          !cap.(!n) <- Binc.read_varint r;
+          incr n
+        done;
+        Array.sub !cap 0 !n)
+      payload
+
+  let add_decisions buf ~start_pos (ds : Engine.decision array) =
+    Binc.add_varint buf start_pos;
+    Binc.add_varint buf (Array.length ds);
+    Array.iter
+      (fun (d : Engine.decision) ->
+        Binc.add_varint buf d.edge;
+        Binc.add_varint buf d.comm;
+        Binc.add_varint buf d.moved;
+        Binc.add_varint buf d.cum_comm;
+        Binc.add_varint buf d.cum_mig;
+        Binc.add_varint buf d.max_load;
+        Binc.add_varint buf d.latency_ns)
+      ds
+
+  let read_decisions payload =
+    decode "decisions"
+      (fun r ->
+        let start_pos = Binc.read_varint r in
+        let count = Binc.read_varint r in
+        if count > Proto.max_payload then
+          raise (Proto.Protocol_error "decisions: count over limit");
+        let ds =
+          Array.init count (fun i ->
+              let edge = Binc.read_varint r in
+              let comm = Binc.read_varint r in
+              let moved = Binc.read_varint r in
+              let cum_comm = Binc.read_varint r in
+              let cum_mig = Binc.read_varint r in
+              let max_load = Binc.read_varint r in
+              let latency_ns = Binc.read_varint r in
+              {
+                Engine.step = start_pos + i;
+                edge;
+                comm;
+                moved;
+                cum_comm;
+                cum_mig;
+                max_load;
+                latency_ns;
+              })
+        in
+        finish r "decisions";
+        (start_pos, ds))
+      payload
+end
+
+let encode f =
+  let b = Buffer.create 64 in
+  f b;
+  Buffer.contents b
+
+(* A frame as the server and client now write one: the header put in
+   place, then the payload behind it. *)
+let frame_in_place ~stream op payload =
+  let len = String.length payload in
+  let b = Bytes.create (Proto.max_header + len) in
+  let off = Proto.put_header b 0 ~stream op ~len in
+  Bytes.blit_string payload 0 b off len;
+  Bytes.sub_string b 0 (off + len)
+
+(* Every field, latency included. *)
+let full_key (d : Engine.decision) =
+  Printf.sprintf "%s|%d" (decision_key d) d.Engine.latency_ns
+
+(* Both decoders reject the input with [Protocol_error], or both accept
+   it with equal results. *)
+let agree ~equal f g s =
+  let run h =
+    match h s with v -> Some v | exception Proto.Protocol_error _ -> None
+  in
+  match (run f, run g) with
+  | Some a, Some b -> equal a b
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let same_req = agree ~equal:( = ) Proto.read_req Oracle.read_req
+
+let same_decisions =
+  agree
+    ~equal:(fun (p, a) (q, b) ->
+      p = q && List.equal String.equal
+                 (List.map full_key (Array.to_list a))
+                 (List.map full_key (Array.to_list b)))
+    Proto.read_decisions Oracle.read_decisions
+
+let both_reject what s =
+  let rejects f =
+    match f s with _ -> false | exception Proto.Protocol_error _ -> true
+  in
+  if not (rejects (fun s -> ignore (Proto.read_decisions s))) then
+    Alcotest.failf "%s: accepted by the decoder" what;
+  if not (rejects (fun s -> ignore (Oracle.read_decisions s))) then
+    Alcotest.failf "%s: accepted by the oracle" what
+
+(* One-, two-, three- and nine-byte varints, max_int included. *)
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, int_range 0 127);
+        (3, int_range 128 16383);
+        (2, int_range 16384 ((1 lsl 21) - 1));
+        (1, map (fun x -> max_int - x) (int_range 0 1000));
+      ])
+
+let gen_decision =
+  QCheck2.Gen.(
+    let* edge = gen_value and* comm = gen_value and* moved = gen_value in
+    let* cum_comm = gen_value and* cum_mig = gen_value in
+    let* max_load = gen_value and* latency_ns = gen_value in
+    return
+      {
+        Engine.step = 0;
+        edge;
+        comm;
+        moved;
+        cum_comm;
+        cum_mig;
+        max_load;
+        latency_ns;
+      })
+
+let gen_batch =
+  QCheck2.Gen.(
+    let* stream = gen_value and* start_pos = gen_value in
+    let* edges = array_size (int_range 0 80) gen_value in
+    let* ds = array_size (int_range 0 80) gen_decision in
+    return (stream, start_pos, edges, ds))
+
+let qcheck_codec_oracle =
+  qtest ~count:300 "qcheck: payloads and frames == Binc-loop oracle" gen_batch
+    (fun (stream, start_pos, edges, ds) ->
+      let len = Array.length edges in
+      let req = encode (fun b -> Proto.add_req b edges ~pos:0 ~len) in
+      let dec = encode (fun b -> Proto.add_decisions b ~start_pos ds) in
+      String.equal req (encode (fun b -> Oracle.add_req b edges ~pos:0 ~len))
+      && String.equal dec
+           (encode (fun b -> Oracle.add_decisions b ~start_pos ds))
+      && List.for_all
+           (fun (op, payload) ->
+             let want = Oracle.frame_to_string ~stream op payload in
+             String.equal want (Proto.frame_to_string ~stream op payload)
+             && String.equal want (frame_in_place ~stream op payload))
+           [ (Proto.Req, req); (Proto.Decisions, dec); (Proto.Ack, "") ]
+      && Proto.read_req req = edges
+      && same_req req && same_decisions dec
+      && List.equal String.equal
+           (List.map full_key (Array.to_list (snd (Proto.read_decisions dec))))
+           (List.mapi
+              (fun i (d : Engine.decision) ->
+                full_key { d with Engine.step = start_pos + i })
+              (Array.to_list ds)))
+
+(* Truncations, an over-long varint spliced in and a trailing byte:
+   both codecs reject the same Decisions inputs, and agree on every Req
+   input (a Req cut at a varint boundary is a shorter, valid batch). *)
+let qcheck_codec_hostile =
+  qtest ~count:200 "qcheck: hostile payloads rejected by both codecs"
+    QCheck2.Gen.(pair gen_batch (int_range 0 1_000_000))
+    (fun ((_, start_pos, edges, ds), at) ->
+      let len = Array.length edges in
+      let req = encode (fun b -> Proto.add_req b edges ~pos:0 ~len) in
+      let dec = encode (fun b -> Proto.add_decisions b ~start_pos ds) in
+      let splice s =
+        let i = at mod (String.length s + 1) in
+        String.sub s 0 i ^ String.make 10 '\xff' ^ "\x01"
+        ^ String.sub s i (String.length s - i)
+      in
+      for cut = 0 to String.length dec - 1 do
+        both_reject "truncated decisions" (String.sub dec 0 cut)
+      done;
+      both_reject "over-long varint in decisions" (splice dec);
+      both_reject "decisions with a trailing byte" (dec ^ "\x00");
+      let rec prefixes cut =
+        cut > String.length req
+        || (same_req (String.sub req 0 cut) && prefixes (cut + 1))
+      in
+      prefixes 0 && same_req (splice req) && same_req (req ^ "\x80")
+      && (match Proto.read_req (splice req) with
+         | _ -> false
+         | exception Proto.Protocol_error _ -> true))
+
+let test_codec_edge_values () =
+  let values = [| 0; 127; 128; 16383; 16384; (1 lsl 21) - 1; 1 lsl 21; max_int |] in
+  let ds =
+    Array.map
+      (fun v ->
+        {
+          Engine.step = 0;
+          edge = v;
+          comm = v;
+          moved = v;
+          cum_comm = v;
+          cum_mig = v;
+          max_load = v;
+          latency_ns = v;
+        })
+      values
+  in
+  let len = Array.length values in
+  let req = encode (fun b -> Proto.add_req b values ~pos:0 ~len) in
+  Alcotest.(check string) "req bytes"
+    (encode (fun b -> Oracle.add_req b values ~pos:0 ~len)) req;
+  Alcotest.(check (array int)) "req decode" values (Proto.read_req req);
+  let dec = encode (fun b -> Proto.add_decisions b ~start_pos:max_int ds) in
+  Alcotest.(check string) "decisions bytes"
+    (encode (fun b -> Oracle.add_decisions b ~start_pos:max_int ds)) dec;
+  Alcotest.(check bool) "decisions decode" true (same_decisions dec);
+  (* the empty batch, both ways *)
+  let empty_req = encode (fun b -> Proto.add_req b values ~pos:3 ~len:0) in
+  Alcotest.(check string) "empty req" "" empty_req;
+  Alcotest.(check (array int)) "empty req decode" [||] (Proto.read_req "");
+  let empty = encode (fun b -> Proto.add_decisions b ~start_pos:7 [||]) in
+  Alcotest.(check string) "empty decisions bytes"
+    (encode (fun b -> Oracle.add_decisions b ~start_pos:7 [||])) empty;
+  (match Proto.read_decisions empty with
+  | 7, [||] -> ()
+  | _ -> Alcotest.fail "empty decisions decode");
+  Alcotest.(check string) "empty frame"
+    (Oracle.frame_to_string ~stream:3 Proto.Decisions "")
+    (Proto.frame_to_string ~stream:3 Proto.Decisions "");
+  (* a 10-byte varint is over 63 bits for both *)
+  both_reject "10-byte count" ("\x00" ^ String.make 9 '\xff' ^ "\x01");
+  Alcotest.(check bool) "10-byte req varint" true
+    (match Proto.read_req (String.make 9 '\x80' ^ "\x01") with
+    | _ -> false
+    | exception Proto.Protocol_error _ -> true)
+
+let allocated_words f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  words () -. before
+
+(* A 12-byte Decisions payload claiming 2^22 decisions is rejected before
+   an array is sized by the claim (the oracle allocates 2^22 words). *)
+let test_decisions_count_bounded () =
+  let b = Buffer.create 12 in
+  Rbgp_util.Binc.add_varint b 0;
+  Rbgp_util.Binc.add_varint b (1 lsl 22);
+  Buffer.add_string b (String.make 7 '\x00');
+  let payload = Buffer.contents b in
+  Alcotest.(check int) "payload size" 12 (String.length payload);
+  let words =
+    allocated_words (fun () ->
+        match Proto.read_decisions payload with
+        | _ -> Alcotest.fail "hostile count accepted"
+        | exception Proto.Protocol_error _ -> ())
+  in
+  if words > 4096. then
+    Alcotest.failf "rejecting the payload allocated %.0f words" words
 
 (* --- in-process server + client ---------------------------------------- *)
 
@@ -564,6 +875,15 @@ let () =
           qcheck_dechunker_random_splits;
           Alcotest.test_case "unrepairable input raises" `Quick
             test_dechunker_rejects_garbage;
+        ] );
+      ( "codec",
+        [
+          qcheck_codec_oracle;
+          qcheck_codec_hostile;
+          Alcotest.test_case "varint classes and the empty batch" `Quick
+            test_codec_edge_values;
+          Alcotest.test_case "decision count bounded by the payload" `Quick
+            test_decisions_count_bounded;
         ] );
       ( "isolation",
         [

@@ -734,6 +734,115 @@ let test_metrics_histogram () =
   Alcotest.(check int) "reset" 0 (Metrics.requests m);
   Alcotest.(check int) "reset quantile" 0 (Metrics.quantile m 0.99)
 
+(* The latency sum is an int; the rendered surfaces convert it once per
+   snapshot.  Their bytes (clock-dependent values masked) are pinned to
+   what the float accumulator rendered before, on a fixture with a
+   clamped negative latency, a multi-second one and a batch record.
+   /tenants embeds [json_of_snapshot] verbatim. *)
+let mask key s =
+  let kl = String.length key and n = String.length s in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + kl <= n && String.equal (String.sub s !i kl) key then begin
+      Buffer.add_string b key;
+      i := !i + kl;
+      while !i < n && not (String.contains ",}\n" s.[!i]) do
+        incr i
+      done;
+      Buffer.add_char b '_'
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let test_metrics_surfaces_pinned () =
+  let m = Metrics.create () in
+  for _ = 1 to 90 do
+    Metrics.observe m ~latency_ns:1000 ~comm:1 ~moved:0 ~max_load:3
+  done;
+  for _ = 1 to 10 do
+    Metrics.observe m ~latency_ns:1_000_000 ~comm:0 ~moved:2 ~max_load:5
+  done;
+  Metrics.observe m ~latency_ns:(-5) ~comm:0 ~moved:0 ~max_load:1;
+  Metrics.observe m ~latency_ns:3_000_000_007 ~comm:1 ~moved:1 ~max_load:2;
+  Metrics.observe_batch m ~count:64 ~latency_ns:12345 ~comm:3 ~mig:4
+    ~max_load:6;
+  let s = Metrics.snapshot m in
+  Alcotest.(check string) "JSONL record"
+    "{\"type\":\"metrics\",\"requests\":166,\"rps\":_,\"p50_ns\":512,\"p90_ns\":512,\"p99_ns\":524288,\"mean_ns\":18133147,\"comm\":94,\"mig\":25,\"max_load\":6,\"degraded\":0,\"recovered\":0,\"elapsed_s\":_}"
+    (mask "\"elapsed_s\":" (mask "\"rps\":" (Metrics.json_of_snapshot s)));
+  Alcotest.(check string) "Prometheus exposition"
+    (String.concat "\n"
+       [
+         "# HELP rbgp_requests_total Requests served.";
+         "# TYPE rbgp_requests_total counter";
+         "rbgp_requests_total{tenant=\"t\"} 166";
+         "# HELP rbgp_comm_cost_total Cumulative communication cost.";
+         "# TYPE rbgp_comm_cost_total counter";
+         "rbgp_comm_cost_total{tenant=\"t\"} 94";
+         "# HELP rbgp_migration_cost_total Cumulative migration cost.";
+         "# TYPE rbgp_migration_cost_total counter";
+         "rbgp_migration_cost_total{tenant=\"t\"} 25";
+         "# HELP rbgp_degraded_requests_total Requests served on the degraded never-move path.";
+         "# TYPE rbgp_degraded_requests_total counter";
+         "rbgp_degraded_requests_total{tenant=\"t\"} 0";
+         "# HELP rbgp_solver_repromotions_total Re-promotions from the degraded path back to the real solver.";
+         "# TYPE rbgp_solver_repromotions_total counter";
+         "rbgp_solver_repromotions_total{tenant=\"t\"} 0";
+         "# HELP rbgp_max_load Maximum cluster load observed.";
+         "# TYPE rbgp_max_load gauge";
+         "rbgp_max_load{tenant=\"t\"} 6";
+         "# HELP rbgp_uptime_seconds Seconds since metrics were created or reset.";
+         "# TYPE rbgp_uptime_seconds gauge";
+         "rbgp_uptime_seconds{tenant=\"t\"} _";
+         "# HELP rbgp_ingest_latency_seconds Ingest latency histogram.";
+         "# TYPE rbgp_ingest_latency_seconds histogram";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"2e-09\"} 1";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"2.56e-07\"} 65";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"1.024e-06\"} 155";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"0.00104858\"} 165";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"4.29497\"} 166";
+         "rbgp_ingest_latency_seconds_bucket{tenant=\"t\",le=\"+Inf\"} 166";
+         "rbgp_ingest_latency_seconds_sum{tenant=\"t\"} 3.01010235";
+         "rbgp_ingest_latency_seconds_count{tenant=\"t\"} 166";
+         "";
+       ])
+    (mask "rbgp_uptime_seconds{tenant=\"t\"} "
+       (Metrics.prometheus_exposition [ ([ ("tenant", "t") ], s) ]));
+  Alcotest.(check string) "mean latency" "18133146.698795181"
+    (Printf.sprintf "%.17g" (Metrics.mean_latency_ns m))
+
+(* The batched path reads the clock once per request and chains the
+   stamps: no latency is negative, and together they fit in the wall
+   time around the call. *)
+let test_batch_latencies_chain () =
+  let n = 64 in
+  let trace = gen_trace ~n ~steps:4096 ~seed:17 in
+  let e = Engine.create ~alg:"onl-dynamic" ~seed:5 (Instance.blocks ~n ~ell:4) in
+  let now () = int_of_float (Unix.gettimeofday () *. 1e9) in
+  for i = 0 to 7 do
+    let before = now () in
+    let ds = Engine.ingest_batch e (Array.sub trace (512 * i) 512) in
+    let wall = now () - before in
+    Array.iter
+      (fun (d : Engine.decision) ->
+        if d.Engine.latency_ns < 0 then
+          Alcotest.failf "request %d: negative latency %d" d.Engine.step
+            d.Engine.latency_ns)
+      ds;
+    let sum =
+      Array.fold_left
+        (fun acc (d : Engine.decision) -> acc + d.Engine.latency_ns)
+        0 ds
+    in
+    if sum > wall then
+      Alcotest.failf "latencies sum to %d ns, over the batch's %d ns" sum wall
+  done
+
 (* --- runtime sanitizer ------------------------------------------------- *)
 
 (* Positive: a sanitized run over a healthy algorithm is silent and bills
@@ -841,7 +950,13 @@ let () =
             test_source_pipe_eof_mid_frame;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "log-bucketed histogram" `Quick test_metrics_histogram ] );
+        [
+          Alcotest.test_case "log-bucketed histogram" `Quick test_metrics_histogram;
+          Alcotest.test_case "rendered surfaces pinned" `Quick
+            test_metrics_surfaces_pinned;
+          Alcotest.test_case "batched latencies chain" `Quick
+            test_batch_latencies_chain;
+        ] );
       ( "sanitizer",
         [
           Alcotest.test_case "clean run is silent and cost-identical" `Quick
